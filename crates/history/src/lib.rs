@@ -13,6 +13,10 @@
 //! cumulative, total-normalized form of these series the study derives all
 //! of its time-related metrics.
 //!
+//! [`ProjectHistoryBuilder`] builds a finished history in one pass;
+//! [`HistoryFold`] keeps the same schema heartbeats up to date as a history
+//! grows, one migration at a time.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -31,11 +35,13 @@
 //! ```
 
 mod date;
+mod fold;
 mod heartbeat;
 mod project;
 mod version;
 
 pub use date::{Date, DateParseError, MonthId, MonthParseError};
+pub use fold::HistoryFold;
 pub use heartbeat::Heartbeat;
 pub use project::{ProjectHistory, ProjectHistoryBuilder};
 pub use version::{IngestMode, SchemaHistory, SchemaVersion};

@@ -1,6 +1,6 @@
 //! Whole-project histories: schema + source heartbeats over the PUP.
 
-use schemachron_model::{ChangeKind, Schema};
+use schemachron_model::{ChangeKind, Schema, SchemaDiff};
 
 use crate::{Date, Heartbeat, IngestMode, MonthId, SchemaHistory};
 
@@ -141,20 +141,54 @@ impl ProjectHistory {
         history: SchemaHistory,
         source_events: &[(Date, f64)],
     ) -> ProjectHistory {
-        let mut schema = Heartbeat::new();
-        let mut expansion = Heartbeat::new();
-        let mut maintenance = Heartbeat::new();
-        let mut kind_totals = [0usize; 6];
+        let mut activity = SchemaActivity::default();
         for v in history.versions() {
-            let m = v.date.month_id();
-            schema.add(m, v.diff.attribute_change_count() as f64);
-            expansion.add(m, v.diff.expansion_count() as f64);
-            maintenance.add(m, v.diff.maintenance_count() as f64);
-            for (i, k) in ChangeKind::all().iter().enumerate() {
-                kind_totals[i] += v.diff.count_of(*k);
-            }
+            activity.add(v.date, &v.diff);
         }
+        activity.into_project(name.into(), source_events, Some(history))
+    }
+}
 
+/// The schema side of a project history, accumulated one version at a
+/// time: the schema, expansion and maintenance heartbeats plus the
+/// per-kind totals. [`ProjectHistory::from_schema_history`] and
+/// [`HistoryFold`](crate::HistoryFold) both accumulate through
+/// [`SchemaActivity::add`], so their f64 sums run in the same order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SchemaActivity {
+    schema: Heartbeat,
+    expansion: Heartbeat,
+    maintenance: Heartbeat,
+    kind_totals: [usize; 6],
+}
+
+impl SchemaActivity {
+    /// Adds one version's diff to the month of `date`.
+    pub(crate) fn add(&mut self, date: Date, diff: &SchemaDiff) {
+        let m = date.month_id();
+        self.schema.add(m, diff.attribute_change_count() as f64);
+        self.expansion.add(m, diff.expansion_count() as f64);
+        self.maintenance.add(m, diff.maintenance_count() as f64);
+        for (i, k) in ChangeKind::all().iter().enumerate() {
+            self.kind_totals[i] += diff.count_of(*k);
+        }
+    }
+
+    /// Builds the source heartbeat from `source_events`, aligns all four
+    /// heartbeats to the full PUP (earliest to latest event of either
+    /// line) and assembles the project history.
+    pub(crate) fn into_project(
+        self,
+        name: String,
+        source_events: &[(Date, f64)],
+        schema_history: Option<SchemaHistory>,
+    ) -> ProjectHistory {
+        let SchemaActivity {
+            mut schema,
+            mut expansion,
+            mut maintenance,
+            kind_totals,
+        } = self;
         let mut source = Heartbeat::new();
         for (date, lines) in source_events {
             source.add(date.month_id(), *lines);
@@ -180,14 +214,14 @@ impl ProjectHistory {
         }
 
         ProjectHistory {
-            name: name.into(),
+            name,
             start: start.unwrap_or(MonthId(0)),
             schema,
             schema_expansion: expansion,
             schema_maintenance: maintenance,
             source,
             kind_totals,
-            schema_history: Some(history),
+            schema_history,
         }
     }
 }

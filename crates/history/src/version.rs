@@ -14,6 +14,27 @@ pub enum IngestMode {
     Migration,
 }
 
+/// Builds the schema `sql` yields after `prev` and diffs the two: the one
+/// apply-and-diff step behind [`SchemaHistory::push`] and
+/// [`HistoryFold::push`](crate::HistoryFold::push).
+pub(crate) fn next_version(
+    prev: &Schema,
+    mode: IngestMode,
+    sql: &str,
+) -> (Schema, SchemaDiff, Vec<Diagnostic>) {
+    let (schema, diags) = match mode {
+        IngestMode::Snapshot => parse_schema(sql),
+        IngestMode::Migration => {
+            // Clone the previous schema only on the path that mutates it.
+            let mut b = SchemaBuilder::with_schema(prev.clone());
+            b.apply_script(sql);
+            b.finish()
+        }
+    };
+    let d = diff(prev, &schema);
+    (schema, d, diags)
+}
+
 /// One version of the schema, with the diff from its predecessor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchemaVersion {
@@ -72,22 +93,11 @@ impl SchemaHistory {
     /// Appends one version. The caller must push in chronological order
     /// (use [`SchemaHistory::from_entries`] otherwise).
     pub fn push(&mut self, mode: IngestMode, date: Date, sql: &str) {
-        let (schema, mut diags) = match mode {
-            IngestMode::Snapshot => parse_schema(sql),
-            IngestMode::Migration => {
-                // Clone the previous schema only on the path that mutates it.
-                let prev_schema = self
-                    .versions
-                    .last()
-                    .map(|v| v.schema.clone())
-                    .unwrap_or_default();
-                let mut b = SchemaBuilder::with_schema(prev_schema);
-                b.apply_script(sql);
-                b.finish()
-            }
-        };
+        let empty = Schema::default();
+        let prev_schema = self.versions.last().map_or(&empty, |v| &v.schema);
+        let (schema, diff, mut diags) = next_version(prev_schema, mode, sql);
         self.diagnostics.append(&mut diags);
-        self.push_schema(date, schema);
+        self.versions.push(SchemaVersion { date, schema, diff });
     }
 
     /// Appends one version from an already-built logical schema — the

@@ -505,6 +505,45 @@ mod tests {
         let built = schemachron_stream::classification_for("lint-stream-test", &commits, crc);
         let key = schemachron_stream::stream_key(built.chain_crc, built.commit_count);
 
+        // A live store publishes through its running fold instead: in-order
+        // appends, a backdated one that refolds, and a reopen that refolds
+        // on its next append. Those entries must audit clean too.
+        let root = std::env::temp_dir().join(format!(
+            "schemachron-lint-stream-fold-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let chain = [
+            ("2021-03-10", "CREATE TABLE t (a INT);"),
+            ("2021-05-10", "ALTER TABLE t ADD COLUMN b INT;"),
+            ("2021-04-10", "CREATE TABLE u (x INT);"),
+            ("2022-01-10", "ALTER TABLE t DROP COLUMN a;"),
+        ];
+        let mut fold_keys = Vec::new();
+        let mut store = schemachron_stream::StreamStore::open(&root).unwrap();
+        for (i, (date, sql)) in chain.iter().enumerate() {
+            if i == 3 {
+                // Reopening serves the pattern from the cache; the next
+                // append refolds the chain from the WAL.
+                drop(store);
+                store = schemachron_stream::StreamStore::open(&root).unwrap();
+            }
+            store.append("lint-fold", i as u64 + 1, date, sql).unwrap();
+            let crc = store.chain_crc("lint-fold").unwrap();
+            fold_keys.push(schemachron_stream::stream_key(crc, i as u64 + 1));
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+        let cached: BTreeSet<StageKey> = pipeline::stage_cache_entries()
+            .into_iter()
+            .filter(|(stage, _)| *stage == STREAM_STAGE)
+            .map(|(_, key)| key)
+            .collect();
+        assert!(
+            fold_keys.iter().all(|k| cached.contains(k)),
+            "fold entries missing"
+        );
+
         let mut clean = Report::new();
         audit_stage_cache(&cards, seed, &mut clean);
         assert!(clean.diagnostics().is_empty(), "{}", clean.render_human());

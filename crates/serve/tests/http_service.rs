@@ -394,6 +394,57 @@ fn commit_appends_are_idempotent_over_the_wire() {
 }
 
 #[test]
+fn unbounded_commit_dates_are_refused_over_the_wire() {
+    // A year `Date::from_str` accepts but the `YYYY-MM-DD` grammar does
+    // not: refused with 400 before the WAL, so the chain, the sequence
+    // line and the feed are untouched.
+    let stream_dir = std::env::temp_dir().join(format!(
+        "schemachron-http-stream-dates-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&stream_dir);
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".parse().unwrap(),
+        jobs: 2,
+        quiet: true,
+        stream_dir: Some(stream_dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let thread = std::thread::spawn(move || server.run());
+
+    let first = r#"{"seq": 1, "date": "2020-01-10", "sql": "CREATE TABLE t (a INT);"}"#;
+    let (s, _, ack) = post_json(addr, "/project/wire-d/commit", first);
+    assert_eq!(s, 201, "{ack:?}");
+    let far = r#"{"seq": 2, "date": "10000000-01-10", "sql": "DROP TABLE t;"}"#;
+    let (s, _, refused) = post_json(addr, "/project/wire-d/commit", far);
+    assert_eq!(s, 400, "{refused:?}");
+    assert!(
+        refused["error"]
+            .as_str()
+            .is_some_and(|e| e.contains("10000000-01-10")),
+        "{refused:?}"
+    );
+
+    // The sequence line did not move: a gap still names seq 2.
+    let gap = r#"{"seq": 9, "date": "2020-02-10", "sql": "DROP TABLE t;"}"#;
+    let (s, _, gap) = post_json(addr, "/project/wire-d/commit", gap);
+    assert_eq!(s, 409, "{gap:?}");
+    assert_eq!(gap["expected_seq"].as_u64(), Some(2));
+    // And the feed holds only the one acknowledged commit.
+    let (s, feed) = json_body(addr, "/changes?since=0");
+    assert_eq!(s, 200, "{feed:?}");
+    assert_eq!(feed["events"].as_array().map(Vec::len), Some(1), "{feed:?}");
+    assert_eq!(feed["next_cursor"].as_u64(), Some(1), "{feed:?}");
+
+    handle.request_shutdown();
+    thread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&stream_dir);
+}
+
+#[test]
 fn queue_overflow_sheds_load_with_503() {
     // One worker and a tiny queue: a burst of slow-ish requests must see
     // some 503s rather than unbounded queueing — and no hung connections.

@@ -1,15 +1,30 @@
 //! Live re-classification of a streamed commit chain through the
 //! incremental stage cache.
 //!
-//! Every acknowledged append re-derives the project's time-pattern from its
-//! full commit prefix. The result is published in the process-wide
-//! pipeline cache under the [`STREAM_STAGE`] namespace, keyed by the WAL's
-//! **chain checksum** — already a content hash of the entire commit history
-//! — so one appended commit re-runs exactly one classification chain and
-//! every other project (and every earlier prefix) stays a cache hit. The
-//! lint `H008` audit restates this derivation from the payload's own
-//! recorded inputs, exactly like the as-of (`H005`) and safety (`H006`)
-//! namespaces.
+//! Every acknowledged append classifies the project's full commit prefix.
+//! The result is published in the process-wide pipeline cache under the
+//! [`STREAM_STAGE`] namespace, keyed by the WAL's **chain checksum** —
+//! already a content hash of the entire commit history — so one appended
+//! commit is exactly one cache miss and every other project (and every
+//! earlier prefix) stays a cache hit. The lint `H008` audit restates this
+//! derivation from the payload's own recorded inputs, exactly like the
+//! as-of (`H005`) and safety (`H006`) namespaces.
+//!
+//! A miss is derived one of two ways, through one shared cache body:
+//!
+//! * [`classification_for`] rebuilds the prefix from scratch with
+//!   [`classify_commits`], the batch derivation `schemachron analyze`
+//!   applies. It is the reference the chaos drill and the tests compare
+//!   the live path against.
+//! * The store's path keeps a running [`HistoryFold`] per project. A miss
+//!   pushes the commits the fold has not taken in yet — one per in-order
+//!   append — and classifies its heartbeats in O(months), so an append
+//!   costs the same after 100 commits as after 10,000. The fold runs the
+//!   batch builder's apply-and-diff step and accumulation in the same
+//!   order, so its metrics are bit-identical to a rebuild's. A *backdated*
+//!   commit, dated before the fold's last one, would be moved by the
+//!   batch's stable date sort; the store then drops the fold and refolds
+//!   every WAL record in date order, at the cost of a full rebuild.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -22,7 +37,7 @@ use schemachron_corpus::pipeline::{
     derive_key, insert_stage_artifact, record_stage_quarantine, stage_artifact, StageKey,
 };
 use schemachron_hash::{fnv1a, FNV_OFFSET};
-use schemachron_history::{Date, ProjectHistoryBuilder};
+use schemachron_history::{Date, HistoryFold, ProjectHistory, ProjectHistoryBuilder};
 
 /// The streaming subsystem's stage-cache namespace.
 pub const STREAM_STAGE: &str = "stream-classify";
@@ -67,8 +82,13 @@ pub fn classify_commits(project: &str, commits: &[(Date, String)]) -> String {
     for (date, sql) in commits {
         builder.migration(*date, sql.clone());
     }
-    let history = builder.build();
-    let Some(metrics) = TimeMetrics::from_project(&history) else {
+    pattern_of(&builder.build())
+}
+
+/// The pattern label of a history: metrics → labels → the strict pattern,
+/// else `~` and the nearest one, else [`UNCLASSIFIED`].
+fn pattern_of(history: &ProjectHistory) -> String {
+    let Some(metrics) = TimeMetrics::from_project(history) else {
         return UNCLASSIFIED.to_owned();
     };
     let labels = Labels::from_metrics(&metrics);
@@ -83,21 +103,63 @@ pub fn classify_commits(project: &str, commits: &[(Date, String)]) -> String {
 
 /// The classification for a commit prefix, served from the stage cache
 /// when already derived. `chain_crc` must be the WAL chain checksum of
-/// exactly `commits` — the store passes its own; batch rebuilds recompute
-/// it with [`crate::wal::record_crc`].
+/// exactly `commits` — batch rebuilds recompute it with
+/// [`crate::wal::record_crc`].
 pub fn classification_for(
     project: &str,
     commits: &[(Date, String)],
     chain_crc: u64,
 ) -> Arc<StreamArtifact> {
-    let commit_count = commits.len() as u64;
+    cached_classification(chain_crc, commits.len() as u64, || {
+        classify_commits(project, commits)
+    })
+}
+
+/// The classification of a store's WAL chain, served from the stage cache
+/// when already derived, else from the project's running history: `fold`
+/// takes in `pending`, the commits it has not folded yet in date order (the
+/// whole chain when `fold` is `None`), and is classified in O(months).
+/// A hit leaves `fold` as it was, so the next miss takes in what it
+/// skipped.
+pub(crate) fn fold_classification(
+    project: &str,
+    chain_crc: u64,
+    commit_count: u64,
+    fold: &mut Option<HistoryFold>,
+    pending: Vec<(Date, &str)>,
+) -> Arc<StreamArtifact> {
+    cached_classification(chain_crc, commit_count, || {
+        // Out of its slot while it grows: a panic leaves no half-grown
+        // fold behind, and the next derivation refolds from the WAL.
+        let grown = match fold.take() {
+            Some(mut grown) => {
+                for (date, sql) in pending {
+                    grown.push(date, sql);
+                }
+                grown
+            }
+            None => HistoryFold::from_migrations(pending),
+        };
+        let pattern = pattern_of(&grown.project_history(project));
+        *fold = Some(grown);
+        pattern
+    })
+}
+
+/// The one stage-cache body behind both classification paths: a hit
+/// returns the cached artifact; a miss runs `build` and publishes its
+/// pattern under the key of `(chain_crc, commit_count)`.
+fn cached_classification(
+    chain_crc: u64,
+    commit_count: u64,
+    build: impl FnOnce() -> String,
+) -> Arc<StreamArtifact> {
     let key = stream_key(chain_crc, commit_count);
     if let Some(hit) = stage_artifact::<StreamArtifact>(STREAM_STAGE, key) {
         return hit;
     }
     let started = Instant::now();
-    let built = catch_unwind(AssertUnwindSafe(|| classify_commits(project, commits)));
-    match built {
+    match catch_unwind(AssertUnwindSafe(build)) {
         Ok(pattern) => {
             let artifact = Arc::new(StreamArtifact {
                 chain_crc,

@@ -16,8 +16,9 @@
 //!   retries are safe no-ops, gaps are refused with the expected seq),
 //!   plus restart replay that resumes the feed cursor line.
 //! * [`classify`] — live re-classification through the incremental stage
-//!   cache: one appended commit re-runs exactly one classification chain,
-//!   keyed by the WAL chain checksum (a content hash of the full prefix).
+//!   cache: one appended commit is one cache miss, keyed by the WAL chain
+//!   checksum (a content hash of the full prefix), and derived by folding
+//!   that commit into the project's running history.
 //! * [`feed`] — the bounded, cursored change feed: monotonic cursors that
 //!   survive restarts, `lagged` shedding for slow subscribers, and no
 //!   wall-clock anywhere so feed transcripts diff byte-for-byte.

@@ -12,15 +12,28 @@
 //! or out-of-order retry (`seq ≤ last`) is acknowledged as a safe no-op
 //! without re-writing or re-emitting anything; a gap (`seq > last + 1`)
 //! is refused with the expected sequence so the client can resync.
+//!
+//! A commit's date must be exactly `YYYY-MM-DD`: a four-digit year and an
+//! in-range month and day. Anything else is [`StreamError::BadDate`],
+//! refused before the WAL write. Replay still reads record dates with the
+//! lenient [`Date`] grammar, so existing WALs keep opening.
+//!
+//! Each project keeps a running [`HistoryFold`] of its WAL records in date
+//! order, so an append that keeps date order folds one commit and
+//! classifies in O(months) (see [`crate::classify`]). The fold is built at
+//! most once per project per process: when opening misses the stage cache,
+//! or else on the project's first append that misses. A backdated commit
+//! drops it and refolds every record. The WAL records are the only copy of
+//! the chain; the rare full rebuilds read them.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use schemachron_history::Date;
+use schemachron_history::{Date, HistoryFold};
 
-use crate::classify::{classification_for, classify_commits};
+use crate::classify::{classify_commits, fold_classification};
 use crate::feed::{ChangeEvent, ChangeFeed, FeedBatch, FEED_CAPACITY};
 use crate::wal::{Wal, WalError, WalRecord};
 
@@ -93,30 +106,94 @@ impl From<WalError> for StreamError {
 #[derive(Debug)]
 struct ProjectStream {
     wal: Wal,
-    /// The commit chain as `(date, sql)`, mirroring the WAL records.
-    commits: Vec<(Date, String)>,
+    /// The running history of the first `version_count()` WAL records in
+    /// date order. `None` until a stage-cache miss builds it, and again
+    /// after a backdated commit or a panic until the next miss.
+    fold: Option<HistoryFold>,
     /// The current pattern label (`None` before the first commit).
     pattern: Option<String>,
 }
 
 impl ProjectStream {
     fn from_wal(name: &str, wal: Wal) -> Result<ProjectStream, StreamError> {
-        let mut commits = Vec::with_capacity(wal.records().len());
-        for rec in wal.records() {
-            let date =
-                Date::from_str(&rec.date).map_err(|_| StreamError::BadDate(rec.date.clone()))?;
-            commits.push((date, rec.payload.clone()));
+        // Replay reads dates with the lenient `Date` grammar, so WALs
+        // written before appends were held to `check_commit_date` still
+        // open.
+        if let Some(rec) = wal
+            .records()
+            .iter()
+            .find(|r| Date::from_str(&r.date).is_err())
+        {
+            return Err(StreamError::BadDate(rec.date.clone()));
         }
-        let pattern = if commits.is_empty() {
-            None
-        } else {
-            Some(classification_for(name, &commits, wal.chain_crc()).pattern.clone())
-        };
-        Ok(ProjectStream {
+        let mut stream = ProjectStream {
             wal,
-            commits,
-            pattern,
+            fold: None,
+            pattern: None,
+        };
+        if !stream.wal.records().is_empty() {
+            stream.reclassify(name);
+        }
+        Ok(stream)
+    }
+
+    /// Re-derives the pattern of the whole (non-empty) WAL chain: a
+    /// stage-cache hit, or else the fold brought up to the last record.
+    /// Records past the fold that keep date order are pushed one by one; a
+    /// backdated one, which the batch builder's stable date sort would
+    /// move, drops the fold so every record is refolded in date order.
+    fn reclassify(&mut self, name: &str) -> String {
+        let records = self.wal.records();
+        let folded = self.fold.as_ref().map_or(0, HistoryFold::version_count);
+        let mut pending = dated(&records[folded..]);
+        let last = self.fold.as_ref().and_then(HistoryFold::last_date);
+        let in_order = std::iter::once(last)
+            .chain(pending.iter().map(|(date, _)| Some(*date)))
+            .is_sorted();
+        if !in_order {
+            self.fold = None;
+            pending = dated(records);
+        }
+        let pattern = fold_classification(
+            name,
+            self.wal.chain_crc(),
+            records.len() as u64,
+            &mut self.fold,
+            pending,
+        )
+        .pattern
+        .clone();
+        self.pattern = Some(pattern.clone());
+        pattern
+    }
+}
+
+/// The `(date, sql)` chain of `records`, whose dates were all checked when
+/// they were replayed or appended.
+fn dated(records: &[WalRecord]) -> Vec<(Date, &str)> {
+    records
+        .iter()
+        .map(|rec| {
+            let date = Date::from_str(&rec.date)
+                .unwrap_or_else(|_| unreachable!("record dates are checked at replay and append"));
+            (date, rec.payload.as_str())
         })
+        .collect()
+}
+
+/// Checks the date of a streamed commit: exactly `YYYY-MM-DD` with a
+/// four-digit year and an in-range month and day. The bound keeps one
+/// commit from padding a heartbeat across millions of empty months.
+fn check_commit_date(s: &str) -> Result<(), StreamError> {
+    let shaped = s.len() == 10
+        && s.bytes().enumerate().all(|(i, c)| match i {
+            4 | 7 => c == b'-',
+            _ => c.is_ascii_digit(),
+        });
+    if shaped && Date::from_str(s).is_ok() {
+        Ok(())
+    } else {
+        Err(StreamError::BadDate(s.to_owned()))
     }
 }
 
@@ -205,7 +282,7 @@ impl StreamStore {
         if seq == 0 {
             return Err(StreamError::BadSeq(seq));
         }
-        let date = Date::from_str(date_str).map_err(|_| StreamError::BadDate(date_str.to_owned()))?;
+        check_commit_date(date_str)?;
 
         if !self.projects.contains_key(project) {
             let dir = self.root.join(project);
@@ -239,12 +316,8 @@ impl StreamStore {
         })?;
         // Acknowledged: the commit is durable. Everything below is derived
         // state that a replay reconstructs identically.
-        stream.commits.push((date, sql.to_owned()));
         let before = stream.pattern.clone();
-        let after = classification_for(project, &stream.commits, stream.wal.chain_crc())
-            .pattern
-            .clone();
-        stream.pattern = Some(after.clone());
+        let after = stream.reclassify(project);
         self.feed.emit(ChangeEvent {
             cursor,
             project: project.to_owned(),
@@ -286,26 +359,21 @@ impl StreamStore {
         self.projects.get(project).and_then(|s| s.pattern.clone())
     }
 
-    /// A project's commit chain as `(date, sql)` pairs.
-    pub fn commits(&self, project: &str) -> Vec<(Date, String)> {
-        self.projects
-            .get(project)
-            .map_or_else(Vec::new, |s| s.commits.clone())
-    }
-
     /// A project's WAL chain checksum.
     pub fn chain_crc(&self, project: &str) -> Option<u64> {
         self.projects.get(project).map(|s| s.wal.chain_crc())
     }
 
-    /// Re-derives a project's pattern from its commits without the cache —
-    /// the batch-rebuild reference the chaos drill compares against.
+    /// Re-derives a project's pattern from its WAL records without the
+    /// cache or the fold — the batch-rebuild reference the chaos drill
+    /// compares against.
     pub fn batch_classify(&self, project: &str) -> Option<String> {
-        let stream = self.projects.get(project)?;
-        if stream.commits.is_empty() {
-            return None;
-        }
-        Some(classify_commits(project, &stream.commits))
+        let records = self.projects.get(project)?.wal.records();
+        let commits: Vec<(Date, String)> = dated(records)
+            .into_iter()
+            .map(|(date, sql)| (date, sql.to_owned()))
+            .collect();
+        (!commits.is_empty()).then(|| classify_commits(project, &commits))
     }
 }
 
@@ -413,5 +481,166 @@ mod tests {
         }
         assert_eq!(store.pattern("proj-d"), store.batch_classify("proj-d"));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unbounded_and_malformed_dates_are_refused_before_the_wal() {
+        let _shared = crate::testlock::shared();
+        let root = tmp("dates");
+        let mut store = StreamStore::open(&root).unwrap();
+        store
+            .append("proj-e", 1, "2020-01-10", "CREATE TABLE t (a INT);")
+            .unwrap();
+        for bad in [
+            "10000000-01-10",
+            "99999-01-10",
+            "-001-01-10",
+            "+2020-01-10",
+            "2020-01",
+            "2020/01/10",
+            " 2020-01-10",
+            "2020-1-10",
+            "2020-13-10",
+            "2020-01-32",
+            "2020-01-1x",
+        ] {
+            match store.append("proj-e", 2, bad, "DROP TABLE t;") {
+                Err(StreamError::BadDate(d)) => assert_eq!(d, bad),
+                other => panic!("{bad:?}: expected BadDate, got {other:?}"),
+            }
+            assert_eq!(
+                store.last_seq("proj-e"),
+                1,
+                "{bad:?} must not reach the WAL"
+            );
+            assert_eq!(store.events_since(0, 10).events.len(), 1, "{bad:?} emitted");
+        }
+        // The seq the refusals did not consume is still the next one.
+        let ok = store
+            .append("proj-e", 2, "0999-12-31", "DROP TABLE t;")
+            .unwrap();
+        assert!(matches!(ok, Append::Appended { seq: 2, .. }), "{ok:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn live_pattern_equals_the_batch_builder_after_every_append() {
+        let _shared = crate::testlock::shared();
+        let root = tmp("fold-chain");
+        let chain = [
+            (
+                "2016-03-04",
+                "CREATE TABLE a (id INT, x TEXT); CREATE TABLE b (id INT);",
+            ),
+            ("2016-03-04", "ALTER TABLE a ADD COLUMN y INT;"),
+            ("2016-03-20", "ALTER TABLE b ADD COLUMN z INT;"),
+            ("2016-05-01", "-- a commit that changes nothing"),
+            ("2016-02-11", "CREATE TABLE early (k INT, v INT, w INT);"),
+            ("2017-01-09", "THIS IS NOT SQL AT ALL;"),
+            ("2017-01-09", "ALTER TABLE a DROP COLUMN x;"),
+            (
+                "2018-06-30",
+                "DROP TABLE a; DROP TABLE b; DROP TABLE early;",
+            ),
+            ("2016-04-15", "ALTER TABLE a ALTER COLUMN y TYPE BIGINT;"),
+            ("2019-02-02", "CREATE TABLE c (id INT, note TEXT);"),
+            ("2019-02-02", "ALTER TABLE c ADD COLUMN at DATE;"),
+            ("2023-08-08", "ALTER TABLE c DROP COLUMN note;"),
+        ];
+        let owned = |n: usize| -> Vec<(Date, String)> {
+            chain[..n]
+                .iter()
+                .map(|(d, sql)| (Date::from_str(d).unwrap(), (*sql).to_owned()))
+                .collect()
+        };
+        let mut store = StreamStore::open(&root).unwrap();
+        for (i, (date, sql)) in chain.iter().enumerate() {
+            let seq = i as u64 + 1;
+            if i == 6 {
+                // A restart mid-chain: the reopened store serves the pattern
+                // from the stage cache and refolds on its next append.
+                drop(store);
+                store = StreamStore::open(&root).unwrap();
+                assert_eq!(
+                    store.pattern("proj-f"),
+                    Some(classify_commits("proj-f", &owned(i)))
+                );
+            }
+            let ack = store.append("proj-f", seq, date, sql).unwrap();
+            let want = classify_commits("proj-f", &owned(i + 1));
+            let Append::Appended { after, .. } = ack else {
+                panic!("seq {seq}: expected an append, got {ack:?}");
+            };
+            assert_eq!(after, want, "seq {seq} ({date})");
+            assert_eq!(store.pattern("proj-f").as_deref(), Some(want.as_str()));
+            // Retries of acknowledged commits change nothing.
+            for retry in [seq, 1] {
+                let dup = store.append("proj-f", retry, date, sql).unwrap();
+                assert_eq!(
+                    dup,
+                    Append::Duplicate {
+                        seq: retry,
+                        last_seq: seq
+                    }
+                );
+            }
+            assert_eq!(store.pattern("proj-f").as_deref(), Some(want.as_str()));
+            assert_eq!(store.batch_classify("proj-f"), Some(want));
+        }
+        assert_eq!(
+            store.next_cursor(),
+            chain.len() as u64 + 1,
+            "one event per append"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_fold_that_skipped_a_cache_hit_catches_up_on_the_next_miss() {
+        let _shared = crate::testlock::shared();
+        let chain = [
+            ("2012-01-10", "CREATE TABLE t (a INT, b INT);"),
+            ("2012-02-10", "ALTER TABLE t ADD COLUMN c INT;"),
+            ("2012-09-10", "ALTER TABLE t DROP COLUMN a;"),
+            ("2013-03-10", "CREATE TABLE u (x INT, y INT);"),
+            ("2015-07-10", "ALTER TABLE u ADD COLUMN z INT;"),
+        ];
+        let (root_b, root_c) = (tmp("catchup-b"), tmp("catchup-c"));
+        let mut b = StreamStore::open(&root_b).unwrap();
+        let mut c = StreamStore::open(&root_c).unwrap();
+        let folded = |s: &StreamStore| {
+            s.projects["proj-g"]
+                .fold
+                .as_ref()
+                .map(HistoryFold::version_count)
+        };
+        // Identical chains under identical cursors share cache keys: `b`
+        // misses and folds, `c` hits and never builds a fold.
+        for (i, (date, sql)) in chain[..3].iter().enumerate() {
+            b.append("proj-g", i as u64 + 1, date, sql).unwrap();
+            c.append("proj-g", i as u64 + 1, date, sql).unwrap();
+        }
+        assert_eq!((folded(&b), folded(&c)), (Some(3), None));
+        // `c` misses first and folds its whole chain; `b` then hits and
+        // leaves its fold one commit behind.
+        let (date, sql) = chain[3];
+        c.append("proj-g", 4, date, sql).unwrap();
+        b.append("proj-g", 4, date, sql).unwrap();
+        assert_eq!((folded(&b), folded(&c)), (Some(3), Some(4)));
+        // The next miss folds both skipped commits.
+        let (date, sql) = chain[4];
+        b.append("proj-g", 5, date, sql).unwrap();
+        assert_eq!(folded(&b), Some(5));
+        let commits: Vec<(Date, String)> = chain
+            .iter()
+            .map(|(d, sql)| (Date::from_str(d).unwrap(), (*sql).to_owned()))
+            .collect();
+        assert_eq!(
+            b.pattern("proj-g"),
+            Some(classify_commits("proj-g", &commits))
+        );
+        drop((b, c));
+        let _ = std::fs::remove_dir_all(&root_b);
+        let _ = std::fs::remove_dir_all(&root_c);
     }
 }

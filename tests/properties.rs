@@ -16,7 +16,9 @@ use schemachron::core::quantize::{
 };
 use schemachron::core::{classify, classify_nearest, Pattern};
 use schemachron::ddl::parse_schema;
-use schemachron::history::{Heartbeat, MonthId, ProjectHistory};
+use schemachron::history::{
+    Heartbeat, HistoryFold, MonthId, ProjectHistory, ProjectHistoryBuilder,
+};
 use schemachron::model::{diff, render_schema_sql, Attribute, DataType, Name, Schema, Table};
 use schemachron_corpus::{Card, Corpus};
 
@@ -369,4 +371,36 @@ fn corpus_regeneration_is_deterministic() {
         assert_eq!(x.labels, y.labels);
         assert_eq!(x.metrics, y.metrics);
     }
+}
+
+#[test]
+fn fold_metrics_equal_the_batch_builder_at_every_prefix_of_every_corpus_chain() {
+    // The streaming store classifies from a running fold; the batch path
+    // rebuilds the whole prefix. Their metrics must agree bit for bit
+    // (`==` on every f64) on every prefix of every seed-42 chain.
+    let corpus = Corpus::generate(42);
+    let mut prefixes = 0;
+    for project in corpus.projects() {
+        let name = &project.card.name;
+        let mat = schemachron_corpus::materialize::materialize(&project.card, 42);
+        let mut fold = HistoryFold::new();
+        for (n, (date, sql)) in mat.ddl_commits.iter().enumerate() {
+            fold.push(*date, sql);
+            let mut builder = ProjectHistoryBuilder::new(name);
+            for (d, s) in &mat.ddl_commits[..=n] {
+                builder.migration(*d, s.clone());
+            }
+            assert_eq!(
+                TimeMetrics::from_project(&fold.project_history(name)),
+                TimeMetrics::from_project(&builder.build()),
+                "{name}: prefix of {} commits",
+                n + 1
+            );
+            prefixes += 1;
+        }
+    }
+    assert_eq!(
+        prefixes, 536,
+        "every commit of the 151 chains is a prefix end"
+    );
 }
