@@ -3,10 +3,13 @@
 //! percentiles for the hottest route, `/project/{id}/pattern`.
 //!
 //! Emits human-readable lines and writes a machine-readable summary to
-//! `BENCH_serve.json` at the workspace root (mirroring `BENCH_pipeline.json`).
+//! `BENCH_serve.json` at the workspace root (mirroring `BENCH_pipeline.json`),
+//! with the host's detected cores. Exits non-zero when the p50 reaches
+//! [`P50_GATE_MS`].
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,6 +22,9 @@ use schemachron_serve::{Server, ServerConfig};
 const CLIENTS: usize = 32;
 /// Requests per client thread.
 const REQUESTS_PER_CLIENT: usize = 8;
+/// The p50 gate: half of the 20 ms idle poll the accept loop used to sleep,
+/// so a timed poll back on the request path fails the bench.
+const P50_GATE_MS: f64 = 10.0;
 
 /// One GET over a fresh connection; returns the wall time on a 200, panics
 /// otherwise (a load bench over failing requests measures nothing).
@@ -44,6 +50,7 @@ fn percentile(sorted: &[Duration], p: f64) -> f64 {
 }
 
 fn main() {
+    let detected_cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let jobs = schemachron_corpus::effective_jobs().max(2);
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
@@ -101,9 +108,9 @@ fn main() {
         percentile(&latencies, 0.99),
     );
     println!(
-        "bench: serve/pattern_route {total} reqs, {CLIENTS} clients, j{jobs}: \
-         {rps:.1} req/s  p50 {p50:.2}ms  p95 {p95:.2}ms  p99 {p99:.2}ms \
-         (server counted {served})"
+        "bench: serve/pattern_route {total} reqs, {CLIENTS} clients, j{jobs}, \
+         {detected_cores} cores: {rps:.1} req/s  p50 {p50:.2}ms  p95 {p95:.2}ms  \
+         p99 {p99:.2}ms (server counted {served})"
     );
 
     let report = serde_json::json!({
@@ -113,9 +120,11 @@ fn main() {
         "clients": CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
         "jobs": jobs,
+        "detected_cores": detected_cores,
         "total_requests": total,
         "wall_secs": (wall.as_secs_f64()),
         "requests_per_sec": rps,
+        "p50_gate_ms": P50_GATE_MS,
         "latency_ms": {
             "p50": p50,
             "p95": p95,
@@ -129,4 +138,9 @@ fn main() {
         Ok(()) => println!("bench: wrote {out}"),
         Err(e) => eprintln!("bench: could not write {out}: {e}"),
     }
+    if p50 >= P50_GATE_MS {
+        eprintln!("bench: FAIL p50 {p50:.2}ms >= {P50_GATE_MS}ms gate");
+        std::process::exit(1);
+    }
+    println!("bench: p50 gate ok ({p50:.2}ms < {P50_GATE_MS}ms)");
 }

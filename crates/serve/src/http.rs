@@ -357,10 +357,13 @@ impl Response {
         }
     }
 
-    /// Writes the response (head + body) to `w`.
+    /// Writes the response (head + body) to `w` in one `write_all`: the
+    /// head is built in memory with the body appended, so a socket sees one
+    /// write call instead of one per header line.
     pub fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        let mut out = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            out,
             "HTTP/1.1 {} {}\r\nServer: schemachron-serve\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             self.reason(),
@@ -368,10 +371,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        w.write_all(b"Connection: close\r\n\r\n")?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(b"Connection: close\r\n\r\n");
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -398,6 +402,40 @@ mod tests {
         assert!(s.contains("Content-Type: application/json"), "{s}");
         assert!(s.contains(&format!("Content-Length: {}", r.body.len())), "{s}");
         assert!(s.ends_with("\"error\": \"x\"\n}\n"), "{s}");
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let r = Response::json(405, &serde_json::json!({"error": "x"}))
+            .with_header("Allow", "POST")
+            .with_header("X-Extra", "1");
+        let mut w = Counting::default();
+        r.write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1);
+        let expected = format!(
+            "HTTP/1.1 405 Method Not Allowed\r\nServer: schemachron-serve\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\nAllow: POST\r\n\
+             X-Extra: 1\r\nConnection: close\r\n\r\n{}",
+            r.body.len(),
+            String::from_utf8(r.body.clone()).unwrap()
+        );
+        assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! unbounded buffering). All routes read from the process-wide, seed-keyed
 //! `Arc<Corpus>` cache and the memoized `ExpContext` models, so a server
 //! under concurrent load builds each corpus exactly once
-//! (`Corpus::build_count()` is the observable proof). Shutdown is graceful:
-//! a [`ShutdownHandle`] (wired to SIGINT/SIGTERM by the CLI) stops the
-//! accept loop, poison pills drain the workers, and in-flight requests
-//! complete before the process exits.
+//! (`Corpus::build_count()` is the observable proof). The accept loop
+//! blocks in `accept`; no timer runs on the request path. Shutdown is
+//! graceful: a [`ShutdownHandle`] (wired to SIGINT/SIGTERM by the CLI
+//! through a self-pipe) wakes the loop with one loopback connection, the
+//! pending connections drain, poison pills drain the workers, and
+//! in-flight requests complete before the process exits.
 //!
 //! ## Resilience
 //!

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use schemachron_asof::{index_for, render as asof_render, AsOfArtifact, DEFAULT_K_MONTHS};
@@ -24,7 +24,7 @@ use crate::http::{Request, Response};
 
 /// Locks a state mutex, ignoring poisoning: every critical section below
 /// moves plain data, so a panic mid-section cannot corrupt the map.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -163,6 +163,9 @@ pub struct AppState {
     /// The streaming store, opened lazily on the first stream route hit so
     /// read-only deployments never touch the disk.
     stream: Mutex<Option<StreamStore>>,
+    /// Paired with `stream`: signalled after every append, so `/changes`
+    /// long-polls wake when the feed may have grown.
+    feed_grew: Condvar,
 }
 
 /// Distinguishes the default stream roots of multiple `AppState`s in one
@@ -208,6 +211,7 @@ impl AppState {
             degraded: Mutex::new(BTreeMap::new()),
             stream_root,
             stream: Mutex::new(None),
+            feed_grew: Condvar::new(),
         }
     }
 
@@ -216,12 +220,9 @@ impl AppState {
         &self.stream_root
     }
 
-    /// Runs `f` over the streaming store, opening (and replaying) it on
-    /// first use; an unopenable store answers `500`.
-    fn with_stream_store<R>(
-        &self,
-        f: impl FnOnce(&mut StreamStore) -> R,
-    ) -> Result<R, Response> {
+    /// Locks the streaming store, opening (and replaying) it on first use;
+    /// an unopenable store answers `500`. The guard always holds `Some`.
+    fn stream_store(&self) -> Result<MutexGuard<'_, Option<StreamStore>>, Response> {
         let mut guard = lock(&self.stream);
         if guard.is_none() {
             match StreamStore::open(&self.stream_root) {
@@ -237,10 +238,7 @@ impl AppState {
                 }
             }
         }
-        match guard.as_mut() {
-            Some(store) => Ok(f(store)),
-            None => unreachable!("opened above"),
-        }
+        Ok(guard)
     }
 
     /// The guard parameters this state was built with.
@@ -645,7 +643,12 @@ impl AppState {
                 }),
             );
         };
-        match self.with_stream_store(|store| store.append(id, seq, date, sql)) {
+        let appended = self.stream_store().map(|mut guard| match guard.as_mut() {
+            Some(store) => store.append(id, seq, date, sql),
+            None => unreachable!("stream_store opens the store"),
+        });
+        self.feed_grew.notify_all();
+        match appended {
             Err(resp) => resp,
             Ok(Ok(outcome)) => {
                 let status = if matches!(outcome, Append::Appended { .. }) {
@@ -677,8 +680,10 @@ impl AppState {
     /// Events when `format=sse` (or `Accept: text/event-stream`). SSE
     /// `id:` lines carry cursors and a `Last-Event-ID` header resumes
     /// exactly like `?since=`. `wait_ms` long-polls (capped below the
-    /// request deadline) until an event arrives; a subscriber that fell
-    /// out of the bounded retention window gets a `lagged` marker.
+    /// request deadline) until an event arrives: the poll waits on the
+    /// feed's condvar with the store unlocked, and every append wakes it. A
+    /// subscriber that fell out of the bounded retention window gets a
+    /// `lagged` marker.
     fn changes(&self, req: &Request) -> Response {
         let since = match (req.query_param("since"), req.header("last-event-id")) {
             (Some(raw), _) | (None, Some(raw)) => match raw.parse::<u64>() {
@@ -720,17 +725,28 @@ impl AppState {
         // it into a 504.
         let wait = wait.min(self.guard.deadline.saturating_sub(Duration::from_millis(100)));
         let started = Instant::now();
+        let mut guard = match self.stream_store() {
+            Ok(guard) => guard,
+            Err(resp) => return resp,
+        };
         let batch = loop {
-            let batch = match self.with_stream_store(|store| store.events_since(since, max)) {
-                Ok(b) => b,
-                Err(resp) => return resp,
+            let batch = match guard.as_ref() {
+                Some(store) => store.events_since(since, max),
+                None => unreachable!("stream_store opens the store"),
             };
-            if !batch.events.is_empty() || batch.lagged || started.elapsed() >= wait {
+            let waited = started.elapsed();
+            if !batch.events.is_empty() || batch.lagged || waited >= wait {
                 break batch;
             }
-            // Poll without holding the store lock across the sleep.
-            std::thread::sleep(Duration::from_millis(20));
+            // Release the store lock until an append signals or the time
+            // left runs out; a wake-up with nothing new waits again.
+            guard = self
+                .feed_grew
+                .wait_timeout(guard, wait - waited)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         };
+        drop(guard);
         let sse = req.query_param("format") == Some("sse")
             || req
                 .header("accept")
@@ -1469,6 +1485,51 @@ mod tests {
         assert_eq!(state.handle(&get("/changes?since=x")).status, 400);
         assert_eq!(state.handle(&get("/changes?max=0")).status, 400);
         assert_eq!(state.handle(&get("/changes?wait_ms=soon")).status, 400);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn changes_long_poll_wakes_on_a_commit_and_otherwise_waits_out() {
+        let (state, root) = stream_state("long-poll");
+        let state = Arc::new(state);
+        assert_eq!(commit(&state, "live-w", 1, "2020-01-10", "CREATE TABLE t (a INT);").status, 201);
+        let poll = |target: &'static str| {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                let asked = Instant::now();
+                let r = state.handle(&get(target));
+                (body_json(&r), asked.elapsed())
+            })
+        };
+
+        // Wake path: a poll already waiting past cursor 1 answers with the
+        // next commit's event long before its 5 s run out. (Had the poll
+        // not started waiting yet, it would find the event at once.)
+        let waiting = poll("/changes?since=1&wait_ms=5000");
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            commit(&state, "live-w", 2, "2021-06-10", "ALTER TABLE t ADD COLUMN b INT;").status,
+            201
+        );
+        let (body, took) = waiting.join().unwrap();
+        assert_eq!(body["events"].as_array().map(Vec::len), Some(1), "{body}");
+        assert_eq!(body["events"][0]["cursor"].as_u64(), Some(2), "{body}");
+        assert!(took < Duration::from_secs(4), "woken by the timeout: {took:?}");
+
+        // Timeout path: a duplicate retry signals the feed without adding
+        // an event, so the poll waits out the rest of its time and answers
+        // the empty batch `events_since` gives.
+        let waiting = poll("/changes?since=2&wait_ms=1000");
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            commit(&state, "live-w", 2, "2021-06-10", "ALTER TABLE t ADD COLUMN b INT;").status,
+            200
+        );
+        let (body, took) = waiting.join().unwrap();
+        assert_eq!(body["events"].as_array().map(Vec::len), Some(0), "{body}");
+        assert_eq!(body["next_cursor"].as_u64(), Some(2), "{body}");
+        assert_eq!(body["lagged"].as_bool(), Some(false), "{body}");
+        assert!(took >= Duration::from_millis(1000), "ended early: {took:?}");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -473,3 +473,51 @@ fn queue_overflow_sheds_load_with_503() {
     handle.request_shutdown();
     thread.join().unwrap().unwrap();
 }
+
+#[test]
+fn shutdown_wakes_an_accept_blocked_for_a_while() {
+    let srv = Running::start(2);
+    // /health answers only after the warm-up, so from here on the server
+    // idles in a blocking accept; leave it there a while.
+    let (s, _) = get(srv.addr, "/health");
+    assert_eq!(s, 200);
+    std::thread::sleep(Duration::from_millis(150));
+
+    let Running { handle, thread, .. } = srv;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = done_tx.send(thread.join().unwrap());
+    });
+    let asked = std::time::Instant::now();
+    handle.request_shutdown();
+    let served = done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run() must return within 1 s of request_shutdown")
+        .unwrap();
+    assert!(asked.elapsed() < Duration::from_secs(1));
+    assert_eq!(served, 1);
+    waiter.join().unwrap();
+}
+
+#[test]
+fn health_totals_do_not_count_the_shutdown_wakeup() {
+    let srv = Running::start(2);
+    for _ in 0..3 {
+        assert_eq!(get(srv.addr, "/health").0, 200);
+    }
+    // A client connected before the shutdown request sends its request
+    // only after it: the drain still serves it, and its /health answer
+    // counts the three requests before it plus itself, not the wake-up.
+    let mut late = TcpStream::connect(srv.addr).expect("connect");
+    late.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    srv.handle.request_shutdown();
+    late.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    let mut out = String::new();
+    late.read_to_string(&mut out).expect("read response");
+    let (head, body) = out.split_once("\r\n\r\n").expect("head/body split");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let health: serde_json::Value = serde_json::from_str(body).unwrap();
+    assert_eq!(health["requests"]["total"].as_u64(), Some(4), "{health}");
+    assert_eq!(srv.thread.join().unwrap().unwrap(), 4);
+}
