@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use schemachron_corpus::pipeline::{
     derive_key, history_stage_key, insert_stage_artifact, record_stage_quarantine, stage_artifact,
-    StageKey,
+    ApproxSize, StageKey,
 };
 use schemachron_corpus::CorpusProject;
 use schemachron_fault as fault;
@@ -49,6 +49,12 @@ pub struct AsOfArtifact {
     pub k_months: usize,
     /// The index itself.
     pub index: AsOfIndex,
+}
+
+impl ApproxSize for AsOfArtifact {
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.index.heap_bytes()
+    }
 }
 
 impl Deref for AsOfArtifact {

@@ -9,6 +9,9 @@
 //! reproduces each stored version exactly, at a fraction of the memory of
 //! retaining every monthly snapshot.
 
+use std::mem::size_of;
+
+use schemachron_corpus::pipeline::{approx_diff_bytes, approx_table_bytes};
 use schemachron_history::{Date, MonthId, SchemaVersion};
 use schemachron_model::{Name, Schema, SchemaDiff, Table, View};
 
@@ -65,6 +68,19 @@ impl VersionDelta {
             views_upserted,
             views_dropped,
         }
+    }
+
+    /// Approximate bytes of the delta: O(tables it touched).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        size_of::<Self>()
+            + approx_diff_bytes(&self.diff)
+            + self.tables_upserted.iter().map(approx_table_bytes).sum::<usize>()
+            + self
+                .views_upserted
+                .iter()
+                .map(|v| size_of::<View>() + v.definition.len())
+                .sum::<usize>()
+            + (self.tables_dropped.len() + self.views_dropped.len()) * size_of::<Name>()
     }
 
     /// Applies the delta in place, turning the predecessor schema into this

@@ -21,8 +21,10 @@
 //! the first time a state is materialized.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::{Arc, PoisonError, RwLock};
 
+use schemachron_corpus::pipeline::approx_schema_bytes;
 use schemachron_history::{MonthId, ProjectHistory};
 use schemachron_model::{diff, Schema, SchemaDiff};
 
@@ -58,6 +60,9 @@ pub struct AsOfIndex {
     /// entry per version plus the pre-birth empty state, so the memo is
     /// bounded by the delta list — not by lifespan length or query volume.
     memo: RwLock<HashMap<usize, Arc<Schema>>>,
+    /// Estimated bytes of that bound, taken from the versions at build:
+    /// the memo is still empty then, but grows toward it under lookups.
+    memo_bound_bytes: usize,
 }
 
 impl AsOfIndex {
@@ -74,9 +79,12 @@ impl AsOfIndex {
 
         let mut deltas = Vec::with_capacity(versions.len());
         let mut prev = Schema::default();
+        let memo_slot = size_of::<(usize, Arc<Schema>)>();
+        let mut memo_bound_bytes = memo_slot + approx_schema_bytes(&prev);
         for version in versions {
             deltas.push(VersionDelta::between(&prev, version));
             prev.clone_from(&version.schema);
+            memo_bound_bytes += memo_slot + approx_schema_bytes(&version.schema);
         }
 
         // Checkpoints at birth, birth+K, …, capped at the last delta month
@@ -113,7 +121,22 @@ impl AsOfIndex {
             deltas,
             checkpoints,
             memo: RwLock::new(HashMap::new()),
+            memo_bound_bytes,
         })
+    }
+
+    /// Approximate heap bytes the index keeps alive: its deltas, its
+    /// checkpoints, and its lookup memo at the one-schema-per-version bound
+    /// (O(versions × tables)).
+    pub fn heap_bytes(&self) -> usize {
+        self.project.len()
+            + self.deltas.iter().map(VersionDelta::approx_bytes).sum::<usize>()
+            + self
+                .checkpoints
+                .iter()
+                .map(|c| size_of::<Checkpoint>() + approx_schema_bytes(&c.schema))
+                .sum::<usize>()
+            + self.memo_bound_bytes
     }
 
     /// The indexed project's name.

@@ -42,6 +42,12 @@ use crate::{apply_jobs, opt_value, seed_of, CliError, CliResult, EXPERIMENT_IDS}
 /// declares non-convergence (mirrors the `par_map` retry bound).
 const WRITE_ATTEMPTS: u32 = 3;
 
+/// How long an injected stall lasts while ingesting and materializing
+/// (phases 1–2). It is there to reorder the workers, which a few
+/// milliseconds already does; no deadline observes it. `--slow-ms` sizes
+/// the serve phase's stalls, which its deadline must see.
+const INGEST_STALL: Duration = Duration::from_millis(5);
+
 /// Entry point for `schemachron chaos`.
 pub fn run_chaos(args: &[String], out: &mut dyn Write) -> CliResult {
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
@@ -143,9 +149,10 @@ fn drill(seed: u64, plan: &fault::FaultPlan, slow_ms: u64, out: &mut dyn Write) 
     // [1/5] ingest under faults: par_map isolates poisoned workers, the
     // stage cache quarantines failed stages, bounded retries re-roll.
     let _ = writeln!(out, "\n[1/5] ingest under faults");
+    let ingest_plan = plan.clone().with_slow(INGEST_STALL);
     fault::reset_counters();
     fault::set_epoch(0);
-    fault::install(plan.clone());
+    fault::install(ingest_plan.clone());
     clear_stage_cache();
     let cards = schemachron_corpus::cards::all_cards();
     let total_projects = cards.len();
@@ -173,7 +180,7 @@ fn drill(seed: u64, plan: &fault::FaultPlan, slow_ms: u64, out: &mut dyn Write) 
             fault::clear();
             clear_stage_cache();
             let c = Corpus::generate(seed);
-            fault::install(plan.clone());
+            fault::install(ingest_plan.clone());
             c
         }
     };

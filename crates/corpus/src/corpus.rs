@@ -83,8 +83,9 @@ impl ProjectSummary {
 /// stage cache, same per-project compute as [`Corpus::from_cards`] — but
 /// returns only compact [`ProjectSummary`] rows instead of retaining full
 /// histories. The streaming entry point for 10^4–10^5-project scale runs:
-/// peak memory is bounded by the stage cache's capacity plus the summaries,
-/// not by the corpus size.
+/// peak memory is bounded by the stage cache's byte budget
+/// ([`pipeline::DEFAULT_BUDGET_BYTES`] of reported artifact bytes) plus the
+/// summaries, not by the corpus size.
 ///
 /// # Errors
 /// Returns [`WorkerFailures`] when any project's ingestion panicked past

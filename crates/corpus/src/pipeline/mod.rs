@@ -14,21 +14,30 @@
 //! Every stage output is keyed by a content hash of its inputs: the root
 //! key fingerprints the trait card's full content plus the corpus seed, and
 //! each stage chains `hash(stage name, stage version, input key)` on top
-//! (see [`derive_key`]). Artifacts live in a process-wide cache — the
-//! generalization of the old seed-keyed `Arc<Corpus>` cache — so editing one
-//! project's card re-runs only that project's downstream stages; every
-//! other project, and every untouched upstream artifact, is a cache hit.
+//! (see [`derive_key`]). The four terminal artifacts (history, metrics,
+//! labels, classification) are published to a process-wide cache — the
+//! generalization of the old seed-keyed `Arc<Corpus>` cache — so editing
+//! one project's card re-runs only that project's chain, and every other
+//! project is a cache hit. The upstream artifacts (scripts, parsed DDL,
+//! schemas, diffs) are read by nothing but the next stage of the same
+//! walk, so they live only in that walk's memo fields: each stage declares
+//! whether it publishes (`PUBLISH` on the stage types).
 //!
 //! Chains are walked lazily downstream-first by [`build_project`]: a fully
 //! cached project fetches its terminal artifacts and never touches the
 //! early stages. Corpus construction fans chains out over the existing
 //! `par_map` worker pool, so per-stage caching and parallelism compose.
 //!
-//! Observability: global per-stage hit/miss/wall-time counters
+//! The cache is bounded in bytes ([`DEFAULT_BUDGET_BYTES`]): each
+//! published artifact reports an approximate size once ([`ApproxSize`]),
+//! and each shard evicts oldest-first past its share of the budget.
+//!
+//! Observability: global per-stage hit/miss/eviction/wall-time counters
 //! ([`stage_stats`], surfaced on the HTTP service's `/health` and in
 //! `BENCH_stages.json`) plus an exact per-call [`StageTrace`] for tests.
 
 mod artifact;
+mod size;
 mod stage;
 mod stages;
 
@@ -36,8 +45,10 @@ pub use artifact::{
     card_fingerprint, CardSpec, DiffSeq, DiffStep, LabelTuple, LogicalSchema, MetricVector,
     ParsedCommit, ParsedDdl, PatternClass, RawScripts,
 };
+pub use size::{approx_diff_bytes, approx_schema_bytes, approx_table_bytes};
 pub use stage::{
-    derive_key, shard_count_for, shard_of_key, Stage, StageKey, StageStats, StageTrace, TraceEntry,
+    derive_key, shard_count_for, shard_of_key, ApproxSize, Stage, StageKey, StageStats,
+    StageTrace, TraceEntry, DEFAULT_BUDGET_BYTES,
 };
 pub use stages::{
     build_project, build_project_traced, chain_keys, classify_project, parse_salt, ClassifyStage,
@@ -80,13 +91,15 @@ pub fn peek_stage_artifact<T: Send + Sync + 'static>(
 
 /// Publishes a freshly computed artifact into the process-wide stage cache
 /// under `(stage, key)`, recording a global miss plus `busy` compute time.
-/// The key must be a content hash chained from the artifact's inputs — the
-/// lint cache auditor (`H001`/`H002`/`H005`) walks every resident entry and
-/// flags any key it cannot re-derive.
-pub fn insert_stage_artifact(
+/// The artifact's [`ApproxSize`] is charged against the byte budget; older
+/// entries of its shard may be evicted to make room. The key must be a
+/// content hash chained from the artifact's inputs — the lint cache auditor
+/// (`H001`/`H002`/`H005`) walks every resident entry and flags any key it
+/// cannot re-derive.
+pub fn insert_stage_artifact<T: ApproxSize + Send + Sync + 'static>(
     stage: &'static str,
     key: StageKey,
-    value: std::sync::Arc<dyn std::any::Any + Send + Sync>,
+    value: std::sync::Arc<T>,
     busy: std::time::Duration,
 ) {
     stage::cache().insert(stage, key, value, busy);
@@ -121,6 +134,11 @@ pub fn clear_stage_cache() {
 /// Number of artifacts currently cached across all stages.
 pub fn stage_cache_len() -> usize {
     stage::cache().len()
+}
+
+/// Sum of the reported sizes of the artifacts currently cached, in bytes.
+pub fn stage_cache_bytes() -> usize {
+    stage::cache().resident_bytes()
 }
 
 /// Snapshots the `(stage name, content key)` identity of every cached

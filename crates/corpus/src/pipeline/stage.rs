@@ -8,7 +8,7 @@
 //! shards (`N` = the next power of two ≥ 4 × available parallelism, so a
 //! worker pool at full fan-out collides on a shard with probability ≈ 1/4
 //! per access), each shard owning its own map and FIFO eviction ring with a
-//! per-shard slice of the total capacity. The shard of an entry is selected
+//! per-shard slice of the byte budget. The shard of an entry is selected
 //! by masking its FNV-1a content-hash key (`key & (N - 1)`); FNV-1a output
 //! is uniform over the low bits, so the stripes stay balanced without a
 //! second hash. Concurrent workers ingesting different projects therefore
@@ -16,8 +16,17 @@
 //! every worker serializing 8 times per project on one global `Mutex` pair.
 //!
 //! Stat recording is wait-free: per-stage fixed-slot [`AtomicU64`] counters
-//! (hit / miss / quarantined / busy-ns) replace the old `Mutex<HashMap>`,
-//! so the hot path never takes a lock just to count.
+//! (hit / miss / quarantined / eviction / busy-ns) replace the old
+//! `Mutex<HashMap>`, so the hot path never takes a lock just to count.
+//!
+//! # Byte budget
+//!
+//! The bound is in bytes, not entries: every artifact reports an
+//! approximate heap size once, at insert ([`ApproxSize`]), and a shard
+//! evicts its oldest entries until it is back under its share of
+//! [`DEFAULT_BUDGET_BYTES`], always keeping at least one. A project's
+//! history outweighs its label tuple by over three orders of magnitude, so
+//! an entry count bounds nothing.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -57,6 +66,16 @@ pub trait Stage<In, Out> {
 
     /// The computation. Must be pure: same input artifact, same output.
     fn run(&self, input: &In) -> Out;
+}
+
+/// An artifact the process cache can hold: it reports the heap it keeps
+/// alive, once, when it is published. The figure is an estimate from
+/// element counts (O(versions × tables) for a schema history), not a byte
+/// walk; it is charged against the cache's byte budget until the entry is
+/// evicted.
+pub trait ApproxSize {
+    /// Approximate bytes this artifact occupies, inline and on the heap.
+    fn approx_bytes(&self) -> usize;
 }
 
 /// Derives a stage's output key from its identity and its input key.
@@ -141,6 +160,8 @@ pub struct StageStats {
     /// key was never published, so the next consumer sees a plain
     /// (retryable) miss instead of a poisoned entry.
     pub quarantined: u64,
+    /// Published artifacts the byte budget pushed out of the cache.
+    pub evictions: u64,
     /// Total wall time spent recomputing, in nanoseconds.
     pub busy_ns: u128,
 }
@@ -154,6 +175,7 @@ struct StatCell {
     hits: AtomicU64,
     misses: AtomicU64,
     quarantined: AtomicU64,
+    evictions: AtomicU64,
     busy_ns: AtomicU64,
 }
 
@@ -173,24 +195,56 @@ struct StatSlot {
 /// names without ever reallocating (a reallocation would need a lock).
 const STAT_SLOTS: usize = 32;
 
-/// One lock stripe: its own map and FIFO ring, bounded by the per-shard
-/// capacity split. Cache-line aligned so neighboring shards' lock words
+/// An entry's identity: its stage namespace and content-hash key.
+type EntryId = (&'static str, StageKey);
+
+/// One resident artifact and the bytes it reported when published.
+struct Entry {
+    value: Arc<dyn Any + Send + Sync>,
+    bytes: usize,
+}
+
+/// One lock stripe: its own map and FIFO ring, bounded by its share of
+/// the byte budget. Cache-line aligned so neighboring shards' lock words
 /// never share a line.
 #[repr(align(64))]
 struct Shard {
     inner: Mutex<ShardInner>,
-    capacity: usize,
+    budget: usize,
 }
 
+#[derive(Default)]
 struct ShardInner {
-    map: HashMap<(&'static str, StageKey), Arc<dyn Any + Send + Sync>>,
-    order: VecDeque<(&'static str, StageKey)>,
+    map: HashMap<EntryId, Entry>,
+    order: VecDeque<EntryId>,
+    /// Sum of the resident entries' reported bytes.
+    bytes: usize,
+}
+
+impl ShardInner {
+    /// Files an entry at the back of the FIFO ring. A replaced entry (two
+    /// workers raced on one key) keeps its ring slot; only its bytes change.
+    fn push(&mut self, id: EntryId, entry: Entry) {
+        self.bytes += entry.bytes;
+        match self.map.insert(id, entry) {
+            Some(old) => self.bytes -= old.bytes,
+            None => self.order.push_back(id),
+        }
+    }
+
+    /// Removes an entry and its ring slot, returning it with its bytes.
+    fn take(&mut self, id: EntryId) -> Option<Entry> {
+        let entry = self.map.remove(&id)?;
+        self.order.retain(|slot| *slot != id);
+        self.bytes -= entry.bytes;
+        Some(entry)
+    }
 }
 
 /// The process-wide stage cache: type-erased artifacts keyed by
 /// `(stage name, content-hash key)`, lock-striped over power-of-two shards
-/// selected by the key, with per-shard FIFO eviction and wait-free
-/// per-stage counters.
+/// selected by the key, with per-shard FIFO eviction under a byte budget
+/// and wait-free per-stage counters.
 ///
 /// Lookups and insertions are short critical sections on one shard; stage
 /// computation always happens outside any lock, so two threads racing on
@@ -203,12 +257,13 @@ pub(crate) struct PipelineCache {
     stats: [StatSlot; STAT_SLOTS],
 }
 
-/// Default bound on cached artifacts across all shards; generous for every
-/// corpus size the test suite and benches build, and the backstop that
-/// keeps 100k-project scale runs memory-bounded (eviction churn during a
-/// cold build is harmless: a chain holds its own artifacts in per-walk
-/// memo fields, never by re-fetching).
-const DEFAULT_CAPACITY: usize = 32_768;
+/// The process cache's bound on the reported bytes of its resident
+/// artifacts, across all shards: 1 GiB. Only terminal artifacts are
+/// published (see `stages`), so every corpus the tests and benches build
+/// stays resident, while a 10^5-project scale run evicts instead of
+/// growing (eviction churn during a cold build is harmless: a chain holds
+/// its own artifacts in per-walk memo fields, never by re-fetching).
+pub const DEFAULT_BUDGET_BYTES: usize = 1 << 30;
 
 static CACHE: OnceLock<PipelineCache> = OnceLock::new();
 
@@ -219,22 +274,19 @@ fn default_shard_count() -> usize {
 }
 
 pub(crate) fn cache() -> &'static PipelineCache {
-    CACHE.get_or_init(|| PipelineCache::with_shards(default_shard_count(), DEFAULT_CAPACITY))
+    CACHE.get_or_init(|| PipelineCache::with_shards(default_shard_count(), DEFAULT_BUDGET_BYTES))
 }
 
 impl PipelineCache {
     /// Builds a cache with `shard_count` shards (rounded up to a power of
-    /// two) splitting `total_capacity` evenly (at least one entry each).
-    pub(crate) fn with_shards(shard_count: usize, total_capacity: usize) -> Self {
+    /// two) splitting `budget_bytes` evenly; a shard always keeps at least
+    /// its newest entry, whatever its share.
+    pub(crate) fn with_shards(shard_count: usize, budget_bytes: usize) -> Self {
         let shard_count = shard_count.max(1).next_power_of_two();
-        let capacity = (total_capacity / shard_count).max(1);
         let shards: Vec<Shard> = (0..shard_count)
             .map(|_| Shard {
-                inner: Mutex::new(ShardInner {
-                    map: HashMap::new(),
-                    order: VecDeque::new(),
-                }),
-                capacity,
+                inner: Mutex::new(ShardInner::default()),
+                budget: budget_bytes / shard_count,
             })
             .collect();
         PipelineCache {
@@ -290,8 +342,7 @@ impl PipelineCache {
             inner
                 .map
                 .get(&(stage, key))
-                .cloned()
-                .and_then(|v| v.downcast::<T>().ok())
+                .and_then(|e| Arc::clone(&e.value).downcast::<T>().ok())
         };
         if found.is_some() {
             if let Some(cell) = self.stat_cell(stage) {
@@ -313,31 +364,44 @@ impl PipelineCache {
         inner
             .map
             .get(&(stage, key))
-            .cloned()
-            .and_then(|v| v.downcast::<T>().ok())
+            .and_then(|e| Arc::clone(&e.value).downcast::<T>().ok())
     }
 
-    /// Stores a freshly computed artifact; records a global miss plus the
-    /// compute wall time.
-    pub(crate) fn insert(
+    /// Publishes a freshly computed artifact, charging its reported size
+    /// against its shard's budget, and records a global miss plus the
+    /// compute wall time. The shard then evicts oldest-first until it is
+    /// back under its share (keeping at least the newest entry), counting
+    /// each eviction against the evicted entry's namespace.
+    pub(crate) fn insert<T: ApproxSize + Send + Sync + 'static>(
         &self,
         stage: &'static str,
         key: StageKey,
-        value: Arc<dyn Any + Send + Sync>,
+        value: Arc<T>,
         busy: Duration,
     ) {
+        let bytes = value.approx_bytes();
         let shard = &self.shards[self.shard_of(key)];
         {
             let mut inner = lock(&shard.inner);
-            if inner.map.insert((stage, key), value).is_none() {
-                inner.order.push_back((stage, key));
-            }
-            while inner.order.len() > shard.capacity {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.map.remove(&evicted);
+            inner.push((stage, key), Entry { value, bytes });
+            while inner.bytes > shard.budget && inner.order.len() > 1 {
+                let Some(id) = inner.order.pop_front() else {
+                    break;
+                };
+                if let Some(evicted) = inner.map.remove(&id) {
+                    inner.bytes -= evicted.bytes;
+                    if let Some(cell) = self.stat_cell(id.0) {
+                        cell.evictions.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
+        self.record_miss(stage, busy);
+    }
+
+    /// Records a recomputation — a global miss plus its compute wall time —
+    /// whether or not the artifact is then published.
+    pub(crate) fn record_miss(&self, stage: &'static str, busy: Duration) {
         if let Some(cell) = self.stat_cell(stage) {
             cell.misses.fetch_add(1, Ordering::Relaxed);
             // Saturating: u64 nanoseconds overflow after ~584 years of
@@ -348,12 +412,10 @@ impl PipelineCache {
     }
 
     /// Drops every cached artifact in every shard (counters are kept; see
-    /// [`PipelineCache::reset_stats`]).
+    /// [`PipelineCache::reset_stats`]). Not counted as evictions.
     pub(crate) fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut inner = lock(&shard.inner);
-            inner.map.clear();
-            inner.order.clear();
+            *lock(&shard.inner) = ShardInner::default();
         }
     }
 
@@ -363,6 +425,11 @@ impl PipelineCache {
             .iter()
             .map(|s| lock(&s.inner).map.len())
             .sum()
+    }
+
+    /// Sum of the resident artifacts' reported bytes across all shards.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.shards.iter().map(|s| lock(&s.inner).bytes).sum()
     }
 
     /// Snapshots every cached entry's `(stage, key)` identity, sorted by
@@ -398,44 +465,17 @@ impl PipelineCache {
     }
 
     /// Re-files an artifact under a different `(stage, key)` identity,
-    /// returning whether the source entry existed. The entry moves to its
-    /// new key's home shard, so the content-hash → shard invariant is kept;
-    /// what breaks (deliberately) is the key → content invariant — the
-    /// fault-injection hook behind
-    /// [`crate::pipeline::corrupt_stage_cache_entry`].
-    pub(crate) fn rekey(
-        &self,
-        from: (&'static str, StageKey),
-        to: (&'static str, StageKey),
-    ) -> bool {
-        let from_shard = self.shard_of(from.1);
-        let to_shard = self.shard_of(to.1);
-        if from_shard == to_shard {
-            let mut inner = lock(&self.shards[from_shard].inner);
-            let Some(value) = inner.map.remove(&from) else {
-                return false;
-            };
-            inner.map.insert(to, value);
-            for slot in inner.order.iter_mut() {
-                if *slot == from {
-                    *slot = to;
-                }
-            }
-            return true;
-        }
-        // Cross-shard: move map entry and FIFO slot, one lock at a time.
-        let value = {
-            let mut inner = lock(&self.shards[from_shard].inner);
-            let Some(value) = inner.map.remove(&from) else {
-                return false;
-            };
-            inner.order.retain(|slot| *slot != from);
-            value
+    /// returning whether the source entry existed. The entry, with its
+    /// reported bytes, moves to the back of its new key's home shard, so
+    /// the content-hash → shard invariant is kept; what breaks
+    /// (deliberately) is the key → content invariant — the fault-injection
+    /// hook behind [`crate::pipeline::corrupt_stage_cache_entry`].
+    pub(crate) fn rekey(&self, from: EntryId, to: EntryId) -> bool {
+        // One lock at a time: no deadlock, even within one shard.
+        let Some(entry) = lock(&self.shards[self.shard_of(from.1)].inner).take(from) else {
+            return false;
         };
-        let mut inner = lock(&self.shards[to_shard].inner);
-        if inner.map.insert(to, value).is_none() {
-            inner.order.push_back(to);
-        }
+        lock(&self.shards[self.shard_of(to.1)].inner).push(to, entry);
         true
     }
 
@@ -444,33 +484,21 @@ impl PipelineCache {
     /// key → shard invariant the `H004` lint audit checks — the
     /// fault-injection hook behind
     /// [`crate::pipeline::misplace_stage_cache_entry`].
-    pub(crate) fn misplace(&self, entry: (&'static str, StageKey), shard: usize) -> bool {
+    pub(crate) fn misplace(&self, id: EntryId, shard: usize) -> bool {
         let target = shard & self.mask;
         // The entry may already be stranded in a foreign shard (a prior
         // misplacement, now being repaired), so search every shard —
         // starting from the key's home — rather than trusting the invariant
         // this hook exists to break. One lock at a time: no deadlock.
-        let home = self.shard_of(entry.1);
-        let value = 'found: {
-            for i in 0..self.shards.len() {
-                let at = (home + i) & self.mask;
-                let mut inner = lock(&self.shards[at].inner);
-                if let Some(value) = inner.map.remove(&entry) {
-                    if at == target {
-                        // Already resident where requested; put it back.
-                        inner.map.insert(entry, value);
-                        return true;
-                    }
-                    inner.order.retain(|slot| *slot != entry);
-                    break 'found value;
-                }
-            }
+        let home = self.shard_of(id.1);
+        let found = (0..self.shards.len())
+            .find_map(|i| lock(&self.shards[(home + i) & self.mask].inner).take(id));
+        let Some(entry) = found else {
             return false;
         };
-        let mut inner = lock(&self.shards[target].inner);
-        if inner.map.insert(entry, value).is_none() {
-            inner.order.push_back(entry);
-        }
+        // Re-filed with its bytes; an entry already where requested just
+        // goes back, to the back of its ring.
+        lock(&self.shards[target].inner).push(id, entry);
         true
     }
 
@@ -492,6 +520,7 @@ impl PipelineCache {
             slot.cell.hits.store(0, Ordering::Relaxed);
             slot.cell.misses.store(0, Ordering::Relaxed);
             slot.cell.quarantined.store(0, Ordering::Relaxed);
+            slot.cell.evictions.store(0, Ordering::Relaxed);
             slot.cell.busy_ns.store(0, Ordering::Relaxed);
         }
     }
@@ -512,6 +541,7 @@ impl PipelineCache {
                     hits: cell.map_or(0, |c| c.hits.load(Ordering::Relaxed)),
                     misses: cell.map_or(0, |c| c.misses.load(Ordering::Relaxed)),
                     quarantined: cell.map_or(0, |c| c.quarantined.load(Ordering::Relaxed)),
+                    evictions: cell.map_or(0, |c| c.evictions.load(Ordering::Relaxed)),
                     busy_ns: cell.map_or(0, |c| u128::from(c.busy_ns.load(Ordering::Relaxed))),
                 }
             })
@@ -561,55 +591,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_shard_cache_evicts_fifo_past_capacity() {
-        let cache = PipelineCache::with_shards(1, 2);
-        for key in 0..3u64 {
-            cache.insert("s", key, Arc::new(key), Duration::ZERO);
+    /// A test artifact that reports a fixed size.
+    struct Blob {
+        id: u64,
+        bytes: usize,
+    }
+
+    impl ApproxSize for Blob {
+        fn approx_bytes(&self) -> usize {
+            self.bytes
         }
-        assert!(cache.get::<u64>("s", 0).is_none(), "oldest entry evicted");
-        assert_eq!(cache.get::<u64>("s", 2).as_deref(), Some(&2));
+    }
+
+    fn blob(id: u64, bytes: usize) -> Arc<Blob> {
+        Arc::new(Blob { id, bytes })
+    }
+
+    /// The id of the resident blob under `(stage, key)`, if any.
+    fn resident(cache: &PipelineCache, stage: &'static str, key: StageKey) -> Option<u64> {
+        cache.peek::<Blob>(stage, key).map(|b| b.id)
+    }
+
+    /// Per-namespace eviction counts, in `stages` order.
+    fn evictions(cache: &PipelineCache, stages: &[&'static str]) -> Vec<u64> {
+        cache
+            .stats_snapshot(stages)
+            .iter()
+            .map(|s| s.evictions)
+            .collect()
+    }
+
+    #[test]
+    fn single_shard_cache_evicts_fifo_past_its_byte_budget() {
+        let cache = PipelineCache::with_shards(1, 200);
+        for key in 0..3u64 {
+            cache.insert("s", key, blob(key, 100), Duration::ZERO);
+        }
+        assert_eq!(resident(&cache, "s", 0), None, "oldest entry evicted");
+        assert_eq!(resident(&cache, "s", 1), Some(1));
+        assert_eq!(resident(&cache, "s", 2), Some(2));
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.resident_bytes(), 200);
+        assert_eq!(evictions(&cache, &["s"]), [1]);
     }
 
     #[test]
     fn eviction_is_per_shard_and_shards_are_isolated() {
-        // 4 shards × capacity 2 each. Keys 0,4,8,12 all land in shard 0;
+        // 4 shards × 200 bytes each. Keys 0,4,8,12 all land in shard 0;
         // keys 1,5 land in shard 1.
-        let cache = PipelineCache::with_shards(4, 8);
+        let cache = PipelineCache::with_shards(4, 800);
         assert_eq!(cache.shard_count(), 4);
-        for key in [0u64, 4, 8, 12] {
+        for (stage, key) in [("a", 0u64), ("a", 4), ("b", 8), ("b", 12)] {
             assert_eq!(cache.shard_of(key), 0);
-            cache.insert("s", key, Arc::new(key), Duration::ZERO);
+            cache.insert(stage, key, blob(key, 100), Duration::ZERO);
         }
         for key in [1u64, 5] {
             assert_eq!(cache.shard_of(key), 1);
-            cache.insert("s", key, Arc::new(key), Duration::ZERO);
+            cache.insert("b", key, blob(key, 100), Duration::ZERO);
         }
-        // Shard 0 held 4 entries against capacity 2: its two oldest were
-        // evicted, in FIFO order.
-        assert!(cache.get::<u64>("s", 0).is_none(), "shard-0 FIFO evicted 0");
-        assert!(cache.get::<u64>("s", 4).is_none(), "shard-0 FIFO evicted 4");
-        assert_eq!(cache.get::<u64>("s", 8).as_deref(), Some(&8));
-        assert_eq!(cache.get::<u64>("s", 12).as_deref(), Some(&12));
-        // Shard 1 never reached its capacity: untouched by shard 0's churn.
-        assert_eq!(cache.get::<u64>("s", 1).as_deref(), Some(&1));
-        assert_eq!(cache.get::<u64>("s", 5).as_deref(), Some(&5));
+        // Shard 0 held 400 bytes against its 200: its two oldest entries
+        // were evicted, in FIFO order, and counted against their namespace.
+        assert_eq!(resident(&cache, "a", 0), None, "shard-0 FIFO evicted 0");
+        assert_eq!(resident(&cache, "a", 4), None, "shard-0 FIFO evicted 4");
+        assert_eq!(resident(&cache, "b", 8), Some(8));
+        assert_eq!(resident(&cache, "b", 12), Some(12));
+        // Shard 1 sat exactly at its share: untouched by shard 0's churn.
+        assert_eq!(resident(&cache, "b", 1), Some(1));
+        assert_eq!(resident(&cache, "b", 5), Some(5));
         assert_eq!(cache.len(), 4);
+        assert_eq!(cache.resident_bytes(), 400);
+        assert_eq!(evictions(&cache, &["a", "b"]), [2, 0]);
     }
 
     #[test]
-    fn capacity_splits_across_shards_with_a_floor_of_one() {
-        let tiny = PipelineCache::with_shards(8, 2);
-        // 2 / 8 rounds to 0; every shard still holds at least one entry.
+    fn budget_splits_across_shards_with_a_floor_of_one_entry() {
+        // 200 / 8 = 25 bytes a shard, below any one 100-byte artifact:
+        // every shard still keeps its newest entry.
+        let tiny = PipelineCache::with_shards(8, 200);
         for key in 0..8u64 {
-            tiny.insert("s", key, Arc::new(key), Duration::ZERO);
+            tiny.insert("s", key, blob(key, 100), Duration::ZERO);
         }
         assert_eq!(tiny.len(), 8, "one entry per shard survives");
+        assert_eq!(tiny.resident_bytes(), 800);
+        assert_eq!(evictions(&tiny, &["s"]), [0]);
         // A 9th entry into shard 0 evicts shard 0's only entry.
-        tiny.insert("s", 8, Arc::new(8u64), Duration::ZERO);
-        assert!(tiny.get::<u64>("s", 0).is_none());
-        assert_eq!(tiny.get::<u64>("s", 8).as_deref(), Some(&8));
+        tiny.insert("s", 8, blob(8, 100), Duration::ZERO);
+        assert_eq!(resident(&tiny, "s", 0), None);
+        assert_eq!(resident(&tiny, "s", 8), Some(8));
+        assert_eq!(evictions(&tiny, &["s"]), [1]);
+    }
+
+    #[test]
+    fn a_replaced_entry_is_charged_once() {
+        let cache = PipelineCache::with_shards(1, 1000);
+        cache.insert("s", 1, blob(1, 300), Duration::ZERO);
+        cache.insert("s", 1, blob(1, 200), Duration::ZERO);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.resident_bytes(), 200);
     }
 
     #[test]
@@ -622,28 +700,31 @@ mod tests {
     #[test]
     fn shard_entries_report_residency() {
         let cache = PipelineCache::with_shards(4, 64);
-        cache.insert("s", 6, Arc::new(6u64), Duration::ZERO);
+        cache.insert("s", 6, blob(6, 8), Duration::ZERO);
         assert_eq!(cache.shard_entries(), vec![("s", 6, 2)]);
         // Misplacing moves the entry to a foreign shard; lookups by home
         // shard now miss, and the residency view exposes the violation.
         assert!(cache.misplace(("s", 6), 3));
         assert_eq!(cache.shard_entries(), vec![("s", 6, 3)]);
-        assert!(cache.get::<u64>("s", 6).is_none(), "home-shard lookup misses");
+        assert!(cache.get::<Blob>("s", 6).is_none(), "home-shard lookup misses");
+        assert_eq!(cache.resident_bytes(), 8, "the entry's bytes moved with it");
     }
 
     #[test]
     fn atomic_stats_accumulate_and_reset() {
-        let cache = PipelineCache::with_shards(4, 64);
-        cache.insert("s", 1, Arc::new(1u64), Duration::from_nanos(500));
-        cache.insert("s", 2, Arc::new(2u64), Duration::from_nanos(250));
-        let _ = cache.get::<u64>("s", 1);
-        let _ = cache.get::<u64>("s", 99); // miss: no hit counted
+        let cache = PipelineCache::with_shards(1, 100);
+        cache.insert("s", 1, blob(1, 80), Duration::from_nanos(500));
+        cache.insert("s", 2, blob(2, 80), Duration::from_nanos(250));
+        let _ = cache.get::<Blob>("s", 2);
+        let _ = cache.get::<Blob>("s", 99); // miss: no hit counted
         cache.record_quarantine("s");
+        cache.record_miss("s", Duration::from_nanos(50));
         let snap = cache.stats_snapshot(&["s", "never-ran"]);
         assert_eq!(snap[0].hits, 1);
-        assert_eq!(snap[0].misses, 2);
+        assert_eq!(snap[0].misses, 3, "an unpublished recompute is a miss");
         assert_eq!(snap[0].quarantined, 1);
-        assert_eq!(snap[0].busy_ns, 750);
+        assert_eq!(snap[0].evictions, 1);
+        assert_eq!(snap[0].busy_ns, 800);
         assert_eq!(
             snap[1],
             StageStats {
@@ -651,6 +732,7 @@ mod tests {
                 hits: 0,
                 misses: 0,
                 quarantined: 0,
+                evictions: 0,
                 busy_ns: 0
             }
         );
@@ -659,6 +741,7 @@ mod tests {
         assert_eq!(zeroed[0].hits, 0);
         assert_eq!(zeroed[0].misses, 0);
         assert_eq!(zeroed[0].quarantined, 0);
+        assert_eq!(zeroed[0].evictions, 0);
         assert_eq!(zeroed[0].busy_ns, 0);
     }
 
@@ -666,7 +749,7 @@ mod tests {
     fn concurrent_mixed_stages_count_exactly() {
         // The fixed-slot registration must survive racing first-touches:
         // 8 threads × 4 stage names, every bump lands in the right cell.
-        let cache = std::sync::Arc::new(PipelineCache::with_shards(8, 1024));
+        let cache = std::sync::Arc::new(PipelineCache::with_shards(8, 1 << 20));
         let stages: [&'static str; 4] = ["w", "x", "y", "z"];
         std::thread::scope(|scope| {
             for t in 0..8u64 {
@@ -674,7 +757,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100u64 {
                         let stage = stages[(i % 4) as usize];
-                        cache.insert(stage, t * 1000 + i, Arc::new(i), Duration::ZERO);
+                        cache.insert(stage, t * 1000 + i, blob(i, 8), Duration::ZERO);
                     }
                 });
             }
@@ -682,17 +765,30 @@ mod tests {
         for stage in stages {
             let snap = cache.stats_snapshot(&[stage]);
             assert_eq!(snap[0].misses, 8 * 25, "{stage}");
+            assert_eq!(snap[0].evictions, 0, "{stage}");
         }
     }
 
     #[test]
-    fn cross_shard_rekey_moves_residency() {
-        let cache = PipelineCache::with_shards(4, 64);
-        cache.insert("s", 0, Arc::new(7u64), Duration::ZERO);
-        assert!(cache.rekey(("s", 0), ("s", 3)));
-        assert_eq!(cache.get::<u64>("s", 3).as_deref(), Some(&7));
-        assert!(cache.get::<u64>("s", 0).is_none());
-        assert_eq!(cache.shard_entries(), vec![("s", 3, 3)]);
-        assert!(!cache.rekey(("s", 0), ("s", 1)), "source gone");
+    fn cross_shard_rekey_moves_residency_and_bytes() {
+        // 4 shards × 100 bytes each.
+        let cache = PipelineCache::with_shards(4, 400);
+        cache.insert("a", 0, blob(7, 60), Duration::ZERO);
+        assert!(cache.rekey(("a", 0), ("b", 1)));
+        assert_eq!(resident(&cache, "b", 1), Some(7));
+        assert_eq!(resident(&cache, "a", 0), None);
+        assert_eq!(cache.shard_entries(), vec![("b", 1, 1)]);
+        assert!(!cache.rekey(("a", 0), ("a", 2)), "source gone");
+        // Shard 0 gave its 60 bytes up: another 60 fits without eviction.
+        cache.insert("c", 4, blob(4, 60), Duration::ZERO);
+        // Shard 1 carries the moved 60: another 60 overflows it, and the
+        // moved entry, oldest in its new ring, is evicted under its new
+        // namespace.
+        cache.insert("c", 5, blob(5, 60), Duration::ZERO);
+        assert_eq!(resident(&cache, "b", 1), None);
+        assert_eq!(resident(&cache, "c", 4), Some(4));
+        assert_eq!(resident(&cache, "c", 5), Some(5));
+        assert_eq!(evictions(&cache, &["a", "b", "c"]), [0, 1, 0]);
+        assert_eq!(cache.resident_bytes(), 120);
     }
 }

@@ -5,8 +5,13 @@
 //! classification), so a full chain walk is byte-identical to the old
 //! single-pass build — the tests in `tests/stage_cache.rs` and the
 //! experiment goldens pin this down.
+//!
+//! Each stage declares whether it publishes its output to the process
+//! cache (`PUBLISH`). A warm walk reads only the four terminal artifacts
+//! (history, metrics, labels, classification), so those publish; the
+//! materialize, parse, schema and diff outputs live only in one walk's memo
+//! fields, and their keys are still derived so downstream keys do not move.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,6 +58,8 @@ impl MaterializeStage {
     pub const NAME: &'static str = "materialize";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Memoized within one walk only: no warm walk re-reads it.
+    pub const PUBLISH: bool = false;
 }
 
 impl Stage<CardSpec, RawScripts> for MaterializeStage {
@@ -78,6 +85,8 @@ impl ParseStage {
     pub const NAME: &'static str = "parse";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Memoized within one walk only: no warm walk re-reads it.
+    pub const PUBLISH: bool = false;
 }
 
 impl Stage<RawScripts, ParsedDdl> for ParseStage {
@@ -117,6 +126,8 @@ impl SchemaStage {
     pub const NAME: &'static str = "schema";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Memoized within one walk only: no warm walk re-reads it.
+    pub const PUBLISH: bool = false;
 }
 
 impl Stage<ParsedDdl, LogicalSchema> for SchemaStage {
@@ -158,6 +169,8 @@ impl DiffStage {
     pub const NAME: &'static str = "diff";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Memoized within one walk only: no warm walk re-reads it.
+    pub const PUBLISH: bool = false;
 }
 
 impl Stage<LogicalSchema, DiffSeq> for DiffStage {
@@ -203,6 +216,8 @@ impl HistoryStage {
     pub const NAME: &'static str = "history";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Published: a warm walk re-reads it.
+    pub const PUBLISH: bool = true;
 }
 
 impl Stage<HistoryInput, ProjectHistory> for HistoryStage {
@@ -240,6 +255,8 @@ impl MetricsStage {
     pub const NAME: &'static str = "metrics";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Published: a warm walk re-reads it.
+    pub const PUBLISH: bool = true;
 }
 
 impl Stage<ProjectHistory, MetricVector> for MetricsStage {
@@ -268,6 +285,8 @@ impl LabelsStage {
     pub const NAME: &'static str = "labels";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Published: a warm walk re-reads it.
+    pub const PUBLISH: bool = true;
 }
 
 impl Stage<MetricVector, LabelTuple> for LabelsStage {
@@ -292,6 +311,8 @@ impl ClassifyStage {
     pub const NAME: &'static str = "classify";
     /// Stage logic version.
     pub const VERSION: u32 = 1;
+    /// Published: a warm walk re-reads it.
+    pub const PUBLISH: bool = true;
 }
 
 impl Stage<LabelTuple, PatternClass> for ClassifyStage {
@@ -355,6 +376,7 @@ struct Chain<'a> {
     history: Option<Arc<ProjectHistory>>,
     metrics: Option<Arc<MetricVector>>,
     labels: Option<Arc<LabelTuple>>,
+    class: Option<Arc<PatternClass>>,
 }
 
 /// Runs one stage computation under the `pipeline::stage` fault-injection
@@ -380,32 +402,35 @@ fn run_quarantined<Out>(
     }
 }
 
-/// One memoized, cache-consulting stage step: returns the memo if present,
-/// else the cached artifact (recording a hit), else computes `$input` and
-/// runs the stage (recording a miss and the compute wall time). The run is
+/// One memoized stage step: returns the memo if present, else — for a
+/// stage that publishes — the cached artifact (recording a hit), else
+/// computes `$input` and runs the stage (recording a miss and the compute
+/// wall time), publishing the output when the stage does. The run is
 /// quarantined: a panicking stage publishes nothing (see
-/// [`run_quarantined`]).
+/// [`run_quarantined`]). The one place a stage's `PUBLISH` flag is read.
 macro_rules! step {
     ($self:ident, $field:ident, $stage:ident, $out:ty, $idx:expr, $input:expr) => {{
         if let Some(v) = &$self.$field {
             return Arc::clone(v);
         }
         let key = $self.keys[$idx];
-        if let Some(v) = cache().get::<$out>($stage::NAME, key) {
-            $self.trace.record($stage::NAME, true);
-            $self.$field = Some(Arc::clone(&v));
-            return v;
+        let publish = $stage::PUBLISH;
+        if publish {
+            if let Some(v) = cache().get::<$out>($stage::NAME, key) {
+                $self.trace.record($stage::NAME, true);
+                $self.$field = Some(Arc::clone(&v));
+                return v;
+            }
         }
         let input = $input;
         let started = Instant::now();
         let out = Arc::new(run_quarantined($stage::NAME, key, || $stage.run(&input)));
         let busy = started.elapsed();
-        cache().insert(
-            $stage::NAME,
-            key,
-            Arc::clone(&out) as Arc<dyn Any + Send + Sync>,
-            busy,
-        );
+        if publish {
+            cache().insert($stage::NAME, key, Arc::clone(&out), busy);
+        } else {
+            cache().record_miss($stage::NAME, busy);
+        }
         $self.trace.record($stage::NAME, false);
         $self.$field = Some(Arc::clone(&out));
         out
@@ -426,6 +451,7 @@ impl<'a> Chain<'a> {
             history: None,
             metrics: None,
             labels: None,
+            class: None,
         }
     }
 
@@ -468,27 +494,7 @@ impl<'a> Chain<'a> {
     }
 
     fn classify(&mut self) -> Arc<PatternClass> {
-        // No memo field: the classification is the chain's terminal
-        // artifact, fetched exactly once per walk.
-        let key = self.keys[7];
-        if let Some(v) = cache().get::<PatternClass>(ClassifyStage::NAME, key) {
-            self.trace.record(ClassifyStage::NAME, true);
-            return v;
-        }
-        let input = self.labels();
-        let started = Instant::now();
-        let out = Arc::new(run_quarantined(ClassifyStage::NAME, key, || {
-            ClassifyStage.run(&input)
-        }));
-        let busy = started.elapsed();
-        cache().insert(
-            ClassifyStage::NAME,
-            key,
-            Arc::clone(&out) as Arc<dyn Any + Send + Sync>,
-            busy,
-        );
-        self.trace.record(ClassifyStage::NAME, false);
-        out
+        step!(self, class, ClassifyStage, PatternClass, 7, self.labels())
     }
 }
 

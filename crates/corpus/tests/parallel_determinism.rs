@@ -75,11 +75,3 @@ fn serial_fallback_threshold_is_output_invariant() {
         assert_same(&serial, &threaded);
     }
 }
-
-#[test]
-fn build_count_increments_per_generation() {
-    let before = Corpus::build_count();
-    let _ = Corpus::generate_jobs(1, 2);
-    let _ = Corpus::generate_jobs(1, 2);
-    assert_eq!(Corpus::build_count(), before + 2);
-}

@@ -1,8 +1,8 @@
-//! Stage-cache behavior: cold builds miss every stage in pipeline order,
-//! warm builds hit only the terminal artifacts, and mutating one card
-//! invalidates exactly that project's chain. Also proves the incremental
-//! rebuild is byte-identical to a from-scratch build at several worker
-//! counts.
+//! Stage-cache behavior: cold builds miss every stage in pipeline order
+//! and publish only the terminal artifacts, warm builds hit only those, and
+//! mutating one card invalidates exactly that project's chain. Also proves
+//! the incremental rebuild is byte-identical to a from-scratch build at
+//! several worker counts.
 //!
 //! The stage cache and its counters are process-global, so every test
 //! serializes on [`LOCK`]; each uses its own seed to keep chains disjoint.
@@ -10,7 +10,10 @@
 use std::sync::Mutex;
 
 use schemachron_corpus::cards::all_cards;
-use schemachron_corpus::pipeline::{self, build_project_traced, STAGE_ORDER};
+use schemachron_corpus::pipeline::{
+    self, build_project_traced, chain_keys, DiffSeq, LogicalSchema, ParsedDdl, RawScripts,
+    StageKey, STAGE_ORDER,
+};
 use schemachron_corpus::{Card, Corpus, StageTrace};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -44,6 +47,32 @@ fn cold_build_misses_every_stage_in_order() {
     pipeline::clear_stage_cache();
     let (_, trace) = build_project_traced(&card, 7701);
     assert_cold(&trace, &card.name);
+}
+
+#[test]
+fn cold_build_publishes_only_the_terminal_artifacts() {
+    let _guard = LOCK.lock().unwrap();
+    let cards: Vec<Card> = all_cards().into_iter().take(3).collect();
+    pipeline::clear_stage_cache();
+    for card in &cards {
+        let _ = build_project_traced(card, 7707);
+    }
+    // Exactly history, metrics, labels and classify per project: the last
+    // 4 links of each chain.
+    let mut terminal: Vec<(&str, StageKey)> = cards
+        .iter()
+        .flat_map(|card| STAGE_ORDER.into_iter().zip(chain_keys(card, 7707)).skip(4))
+        .collect();
+    terminal.sort_unstable();
+    assert_eq!(pipeline::stage_cache_entries(), terminal);
+    assert_eq!(pipeline::stage_cache_len(), 4 * cards.len());
+    for card in &cards {
+        let keys = chain_keys(card, 7707);
+        assert!(pipeline::peek_stage_artifact::<RawScripts>(STAGE_ORDER[0], keys[0]).is_none());
+        assert!(pipeline::peek_stage_artifact::<ParsedDdl>(STAGE_ORDER[1], keys[1]).is_none());
+        assert!(pipeline::peek_stage_artifact::<LogicalSchema>(STAGE_ORDER[2], keys[2]).is_none());
+        assert!(pipeline::peek_stage_artifact::<DiffSeq>(STAGE_ORDER[3], keys[3]).is_none());
+    }
 }
 
 #[test]

@@ -384,12 +384,13 @@ mod tests {
         audit_stage_cache(&cards, seed, &mut clean);
         assert!(clean.diagnostics().is_empty(), "{}", clean.render_human());
 
-        // Corrupt one entry's key: H001.
+        // Corrupt one entry's key: H001. The victim is the history entry,
+        // a published artifact (upstream stages never reach the cache).
         let victim = chain_keys(&cards[0], seed);
-        let stage = STAGE_ORDER[2];
+        let stage = STAGE_ORDER[4];
         assert!(corrupt_stage_cache_entry(
-            (stage, victim[2]),
-            (stage, victim[2] ^ 0xdead_beef)
+            (stage, victim[4]),
+            (stage, victim[4] ^ 0xdead_beef)
         ));
         let mut tampered = Report::new();
         audit_stage_cache(&cards, seed, &mut tampered);
@@ -398,8 +399,8 @@ mod tests {
 
         // Re-file the same entry under a bogus stage namespace: H002.
         assert!(corrupt_stage_cache_entry(
-            (stage, victim[2] ^ 0xdead_beef),
-            ("bogus-stage", victim[2])
+            (stage, victim[4] ^ 0xdead_beef),
+            ("bogus-stage", victim[4])
         ));
         let mut bogus = Report::new();
         audit_stage_cache(&cards, seed, &mut bogus);
@@ -407,23 +408,23 @@ mod tests {
 
         // Restore so other tests sharing the process cache are unaffected.
         assert!(corrupt_stage_cache_entry(
-            ("bogus-stage", victim[2]),
-            (stage, victim[2])
+            ("bogus-stage", victim[4]),
+            (stage, victim[4])
         ));
 
         // Strand the entry in the wrong shard (key untouched, so H001 stays
         // quiet): H004.
         let count = pipeline::stage_cache_shard_count();
-        let home = pipeline::shard_of_key(victim[2], count);
+        let home = pipeline::shard_of_key(victim[4], count);
         let wrong = (home + 1) % count;
-        assert!(pipeline::misplace_stage_cache_entry((stage, victim[2]), wrong));
+        assert!(pipeline::misplace_stage_cache_entry((stage, victim[4]), wrong));
         let mut misplaced = Report::new();
         audit_stage_cache(&cards, seed, &mut misplaced);
         assert_eq!(codes(&misplaced), ["H004"]);
         assert!(misplaced.render_human().contains(&format!("shard {wrong}")));
 
         // Restore residency and confirm the audit is clean again.
-        assert!(pipeline::misplace_stage_cache_entry((stage, victim[2]), home));
+        assert!(pipeline::misplace_stage_cache_entry((stage, victim[4]), home));
         let mut restored = Report::new();
         audit_stage_cache(&cards, seed, &mut restored);
         assert!(restored.diagnostics().is_empty(), "{}", restored.render_human());

@@ -23,12 +23,12 @@ use std::time::Instant;
 use schemachron_corpus::materialize::materialize;
 use schemachron_corpus::pipeline::{
     derive_key, history_stage_key, insert_stage_artifact, record_stage_quarantine, stage_artifact,
-    StageKey,
+    ApproxSize, StageKey,
 };
 use schemachron_corpus::Card;
 use schemachron_fault as fault;
 
-use crate::analyze::{analyze, SafetyAnalysis};
+use crate::analyze::{analyze, OpSafety, SafetyAnalysis, Transition};
 
 /// The safety subsystem's stage-cache namespace.
 pub const SAFETY_STAGE: &str = "safety";
@@ -46,6 +46,34 @@ pub struct SafetyArtifact {
     pub history_key: StageKey,
     /// The analysis itself.
     pub analysis: SafetyAnalysis,
+}
+
+impl ApproxSize for SafetyArtifact {
+    /// O(versions × ops): each classified op's strings by length.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let ops = |t: &Transition| -> usize {
+            t.ops
+                .iter()
+                .map(|op| {
+                    size_of::<OpSafety>()
+                        + op.op.len()
+                        + op.reason.len()
+                        + op.inverse.as_ref().map_or(0, |inv| {
+                            inv.iter().map(|s| size_of::<String>() + s.len()).sum()
+                        })
+                })
+                .sum()
+        };
+        size_of::<Self>()
+            + self.analysis.project.len()
+            + self
+                .analysis
+                .transitions
+                .iter()
+                .map(|t| size_of::<Transition>() + t.script.len() + t.date.len() + ops(t))
+                .sum::<usize>()
+    }
 }
 
 impl Deref for SafetyArtifact {

@@ -484,10 +484,11 @@ impl AppState {
     }
 
     fn health(&self) -> Response {
+        use schemachron_corpus::pipeline;
         // Per-stage hit/miss/wall-time counters of the corpus ingestion
         // pipeline, in pipeline order — the live view of the same numbers
         // `stage_bench` writes to BENCH_stages.json.
-        let stages: Vec<Value> = schemachron_corpus::pipeline::stage_stats()
+        let stages: Vec<Value> = pipeline::stage_stats()
             .iter()
             .map(|s| {
                 json!({
@@ -498,6 +499,20 @@ impl AppState {
                     "busy_ms": (s.busy_ns as f64 / 1e6),
                 })
             })
+            .collect();
+        // Evictions per cache namespace: the 8 pipeline stages, then the
+        // as-of, safety and streaming artifacts that share the cache.
+        let namespaces: Vec<&'static str> = pipeline::STAGE_ORDER
+            .into_iter()
+            .chain([
+                schemachron_asof::CHECKPOINT_STAGE,
+                schemachron_safety::SAFETY_STAGE,
+                schemachron_stream::STREAM_STAGE,
+            ])
+            .collect();
+        let evictions: BTreeMap<&'static str, u64> = pipeline::stage_stats_for(&namespaces)
+            .iter()
+            .map(|s| (s.stage, s.evictions))
             .collect();
         let now = Instant::now();
         let breakers: BTreeMap<&'static str, &'static str> = lock(&self.breakers)
@@ -513,7 +528,12 @@ impl AppState {
                 "seed": (self.default_seed),
                 "uptime_secs": (self.started.elapsed().as_secs_f64()),
                 "corpora_built": (schemachron_corpus::Corpus::build_count()),
-                "stage_cache_entries": (schemachron_corpus::pipeline::stage_cache_len()),
+                "stage_cache_entries": (pipeline::stage_cache_len()),
+                "stage_cache": {
+                    "resident_bytes": (pipeline::stage_cache_bytes()),
+                    "budget_bytes": (pipeline::DEFAULT_BUDGET_BYTES),
+                    "evictions": (serde_json::to_value(&evictions).unwrap_or(Value::Null)),
+                },
                 "stages": stages,
                 "requests": (self.counters.snapshot()),
                 "guard": {

@@ -34,7 +34,8 @@ use schemachron_core::metrics::TimeMetrics;
 use schemachron_core::patterns::{classify, classify_nearest};
 use schemachron_core::quantize::Labels;
 use schemachron_corpus::pipeline::{
-    derive_key, insert_stage_artifact, record_stage_quarantine, stage_artifact, StageKey,
+    derive_key, insert_stage_artifact, record_stage_quarantine, stage_artifact, ApproxSize,
+    StageKey,
 };
 use schemachron_hash::{fnv1a, FNV_OFFSET};
 use schemachron_history::{Date, HistoryFold, ProjectHistory, ProjectHistoryBuilder};
@@ -61,6 +62,13 @@ pub struct StreamArtifact {
     /// The derived pattern label (a strict pattern name, `~name` for a
     /// nearest-pattern fallback, or [`UNCLASSIFIED`]).
     pub pattern: String,
+}
+
+impl ApproxSize for StreamArtifact {
+    /// O(1): the fixed fields and the pattern label.
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.pattern.len()
+    }
 }
 
 /// Derives the cache key of a streamed classification: the stage-chaining
